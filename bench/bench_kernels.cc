@@ -2,11 +2,12 @@
 // and wire codecs — the per-TTI work the real-time budget pays for.
 //
 // Before any benchmark runs, main() verifies the SIMD kernels
-// (phy/simd.h) bit-exactly match the scalar reference on randomized
-// inputs, and the slicing-by-8 CRCs match a local bitwise oracle —
-// exiting nonzero on any divergence, so a CI bench run doubles as a
-// numerical-parity gate. The BM_Simd* benchmarks then report
-// per-level (scalar/sse2/avx2) throughput side by side.
+// (phy/simd.h, the check-lane min-sum included) bit-exactly match the
+// scalar reference on randomized inputs, and the slicing-by-8 CRCs
+// match a local bitwise oracle — exiting nonzero on any divergence, so
+// a CI bench run doubles as a numerical-parity gate. The BM_Simd* and
+// BM_LdpcFloodingDecode benchmarks then report per-level
+// (scalar/sse2/avx2) throughput side by side.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -125,6 +126,60 @@ BENCHMARK(BM_LdpcDecodeWorkspaceReuse)
     ->Arg(0)
     ->Arg(1);
 
+// Flooding decode per ISA at the benchmark workloads' operating points.
+// BPSK/AWGN LLRs over 16 codewords, cycled so no single input's branch
+// pattern is learned:
+//  * clean — every hard decision already satisfies the code: the
+//    zero-syndrome exit (fig10/fleet's common case);
+//  * converging — a few channel errors, decoded in 1-2 iterations;
+//  * threshold — near the decoding threshold with a cap of 4 iterations
+//    (tab02's operating point); many decodes run the full budget.
+struct FloodingPoint {
+  const char* name;
+  double snr_db;
+  int max_iterations;
+};
+constexpr FloodingPoint kFloodingPoints[] = {
+    {"clean", 14.0, 8}, {"converging", 5.0, 8}, {"threshold", 2.0, 4}};
+
+void BM_LdpcFloodingDecode(benchmark::State& state) {
+  const auto level = simd::Level(state.range(0));
+  const auto& point = kFloodingPoints[state.range(1)];
+  const auto& kernels = simd::kernels_for(level);
+  const auto& code = LdpcCode::standard();
+  auto rng = RngRegistry{31}.stream("flooding");
+  const double sigma2 = std::pow(10.0, -point.snr_db / 10.0);
+  std::vector<std::vector<float>> inputs(16);
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const auto cw = code.encode(random_bits(code.k(), 100 + k));
+    inputs[k].resize(cw.size());
+    for (std::size_t i = 0; i < cw.size(); ++i) {
+      const double x = cw[i] ? -1.0 : 1.0;
+      inputs[k][i] =
+          float(2.0 * (x + rng.gaussian(0, std::sqrt(sigma2))) / sigma2);
+    }
+  }
+  LdpcCode::DecodeWorkspace ws;
+  std::size_t next = 0;
+  std::int64_t iterations = 0;
+  for (auto _ : state) {
+    const auto status =
+        code.decode_into(inputs[next], point.max_iterations, ws,
+                         LdpcSchedule::kFlooding, kernels);
+    iterations += status.iterations_used;
+    next = (next + 1) % inputs.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["iters_per_decode"] =
+      double(iterations) / double(std::max<std::int64_t>(1, state.iterations()));
+  state.SetLabel(std::string(simd::level_name(level)) + "/" + point.name);
+}
+BENCHMARK(BM_LdpcFloodingDecode)
+    ->ArgNames({"level", "point"})
+    ->ArgsProduct({{int(simd::Level::kScalar), int(simd::Level::kSse2),
+                    int(simd::Level::kAvx2)},
+                   {0, 1, 2}});
+
 void BM_Modulate(benchmark::State& state) {
   const Modulator mod{Modulation(state.range(0))};
   const auto bits = random_bits(648, 4);
@@ -231,6 +286,38 @@ void BM_SimdCnMinsum(benchmark::State& state) {
   state.SetLabel(simd_arg_name(state.range(0)));
 }
 BENCHMARK(BM_SimdCnMinsum)
+    ->ArgNames({"level"})
+    ->Arg(int(simd::Level::kScalar))
+    ->Arg(int(simd::Level::kSse2))
+    ->Arg(int(simd::Level::kAvx2));
+
+// One flooding check-node sweep in the decoder's check-lane layout:
+// the standard code's checks in groups of 8, [position][lane], one
+// cn_minsum_lanes call per group.
+void BM_SimdCnMinsumLanes(benchmark::State& state) {
+  const auto& kernels = simd::kernels_for(simd::Level(state.range(0)));
+  const auto& code = LdpcCode::standard();
+  const int groups =
+      (code.num_checks() + simd::kCheckLanes - 1) / simd::kCheckLanes;
+  const int deg = code.num_edges() / code.num_checks();
+  const int group_size = deg * simd::kCheckLanes;
+  auto rng = RngRegistry{43}.stream("cn-lanes");
+  std::vector<float> q(std::size_t(groups * group_size));
+  std::vector<float> r(q.size());
+  for (auto& v : q) {
+    v = float(rng.gaussian(0.0, 4.0));
+  }
+  for (auto _ : state) {
+    for (int g = 0; g < groups; ++g) {
+      kernels.cn_minsum_lanes(&q[std::size_t(g * group_size)],
+                              &r[std::size_t(g * group_size)], deg, 0.8F);
+    }
+    benchmark::DoNotOptimize(r.data());
+  }
+  state.SetItemsProcessed(state.iterations() * groups * simd::kCheckLanes);
+  state.SetLabel(simd_arg_name(state.range(0)));
+}
+BENCHMARK(BM_SimdCnMinsumLanes)
     ->ArgNames({"level"})
     ->Arg(int(simd::Level::kScalar))
     ->Arg(int(simd::Level::kSse2))
@@ -432,6 +519,58 @@ bool verify_cn_minsum_parity() {
   return ok;
 }
 
+// The check-lane kernel at every level (scalar included) against the
+// contiguous scalar kernel on each lane's padded column; lanes carry
+// their own real degree, padded with kMinSumPad, so pad lanes and every
+// slab degree from 2 to 20 are covered.
+bool verify_cn_minsum_lanes_parity() {
+  constexpr int kLanes = simd::kCheckLanes;
+  auto rng = RngRegistry{4321}.stream("parity");
+  const auto& scalar = simd::kernels_for(simd::Level::kScalar);
+  bool ok = true;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const int deg = 2 + trial % 19;
+    std::vector<float> q(std::size_t(deg * kLanes), simd::kMinSumPad);
+    for (int lane = 0; lane < kLanes; ++lane) {
+      const int real = int(rng.next_u64() % std::uint64_t(deg + 1));
+      for (int pos = 0; pos < real; ++pos) {
+        float& v = q[std::size_t(pos * kLanes + lane)];
+        switch (rng.next_u64() % 8) {
+          case 0: v = 0.0F; break;
+          case 1: v = -0.0F; break;
+          case 2: v = (rng.next_u64() & 1U) ? 1.25F : -1.25F; break;
+          default: v = float(rng.gaussian(0.0, 5.0)); break;
+        }
+      }
+    }
+    std::vector<float> want(q.size());
+    std::vector<float> column(static_cast<std::size_t>(deg));
+    std::vector<float> out(column.size());
+    for (int lane = 0; lane < kLanes; ++lane) {
+      for (int pos = 0; pos < deg; ++pos) {
+        column[std::size_t(pos)] = q[std::size_t(pos * kLanes + lane)];
+      }
+      scalar.cn_minsum(column.data(), out.data(), deg, 0.8F);
+      for (int pos = 0; pos < deg; ++pos) {
+        want[std::size_t(pos * kLanes + lane)] = out[std::size_t(pos)];
+      }
+    }
+    for (const auto level :
+         {simd::Level::kScalar, simd::Level::kSse2, simd::Level::kAvx2}) {
+      if (!simd::level_supported(level)) {
+        continue;
+      }
+      std::vector<float> got(q.size(), -999.0F);
+      simd::kernels_for(level).cn_minsum_lanes(q.data(), got.data(), deg,
+                                               0.8F);
+      ok &= check(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(float)) == 0,
+                  "cn_minsum_lanes bitwise mismatch vs scalar");
+    }
+  }
+  return ok;
+}
+
 bool verify_demap_parity() {
   auto rng = RngRegistry{5678}.stream("parity");
   bool ok = true;
@@ -552,7 +691,8 @@ bool verify_bfp_parity() {
 }
 
 bool verify_kernel_parity() {
-  const bool ok = verify_cn_minsum_parity() & verify_demap_parity() &
+  const bool ok = verify_cn_minsum_parity() &
+                  verify_cn_minsum_lanes_parity() & verify_demap_parity() &
                   verify_crc_parity() & verify_bfp_parity();
   std::printf("kernel parity gate: %s (active simd level: %s)\n",
               ok ? "PASS" : "FAIL",

@@ -15,24 +15,53 @@ constexpr float kMinSumScale = 0.8F;  // normalized min-sum correction
 // Flip `v`'s hard decision: toggle the syndrome bit of every adjacent
 // check and keep the unsatisfied-check count current. This is how
 // parity tracking stays folded into the update pass — no full
-// check_parity walk per iteration.
-inline void flip_bit(int v, const std::vector<int>& var_edge_offset,
-                     const std::vector<int>& var_edges,
-                     const std::vector<int>& edge_check,
-                     std::vector<std::uint8_t>& syndrome, int& unsatisfied) {
-  const int begin = var_edge_offset[std::size_t(v)];
-  const int end = var_edge_offset[std::size_t(v) + 1];
-  for (int i = begin; i < end; ++i) {
-    const int c = edge_check[std::size_t(var_edges[std::size_t(i)])];
-    syndrome[std::size_t(c)] ^= 1U;
-    unsatisfied += syndrome[std::size_t(c)] ? 1 : -1;
+// check_parity walk per iteration. `var_check` lists each variable's
+// `weight` checks back to back.
+inline void flip_bit(int v, int weight, const int* var_check,
+                     std::uint8_t* syndrome, int& unsatisfied) {
+  const int* checks = var_check + std::size_t(v) * std::size_t(weight);
+  for (int i = 0; i < weight; ++i) {
+    syndrome[checks[i]] ^= 1U;
+    unsatisfied += syndrome[checks[i]] ? 1 : -1;
+  }
+}
+
+// Variable-node pass of one flooding iteration over the check-lane
+// slab: each variable sums its messages in edge order, so for weight 3
+// total = ((llr + m0) + m1) + m2, writes total - m back to every
+// check, and flips its hard decision when the sign of total changes.
+// kWeight fixes the column weight at compile time (0 reads `weight`),
+// which keeps the standard code's three messages in registers.
+template <int kWeight>
+void flooding_var_pass(std::span<const float> llr, int weight,
+                       const int* var_slot, const int* var_check,
+                       const float* __restrict r, float* __restrict q,
+                       std::uint8_t* codeword, std::uint8_t* syndrome,
+                       int& unsatisfied) {
+  const int w = kWeight > 0 ? kWeight : weight;
+  for (std::size_t v = 0; v < llr.size(); ++v) {
+    const int* slots = var_slot + v * std::size_t(w);
+    float total = llr[v];
+#pragma GCC unroll 4
+    for (int i = 0; i < w; ++i) {
+      total += r[slots[i]];
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i < w; ++i) {
+      q[slots[i]] = total - r[slots[i]];
+    }
+    const std::uint8_t bit = total < 0.0F ? 1 : 0;
+    if (bit != codeword[v]) {
+      codeword[v] = bit;
+      flip_bit(int(v), w, var_check, syndrome, unsatisfied);
+    }
   }
 }
 
 }  // namespace
 
 LdpcCode::LdpcCode(int n, int m, std::uint64_t seed, int wc)
-    : n_(n), m_(m), k_(0) {
+    : n_(n), m_(m), k_(0), wc_(wc) {
   if (n <= 0 || m <= 0 || m >= n || wc < 2) {
     throw std::invalid_argument{"LdpcCode: bad parameters"};
   }
@@ -85,8 +114,8 @@ LdpcCode::LdpcCode(int n, int m, std::uint64_t seed, int wc)
   }
 
   // Flatten the Tanner graph into SoA edge arrays: edges numbered by
-  // (check, position), plus per-variable edge-id lists and the reverse
-  // edge->check map used by the fused parity tracking.
+  // (check, position), plus per-variable edge lists carrying each
+  // edge's check (for the fused parity tracking) and lane-slab slot.
   check_edge_offset_.assign(std::size_t(m) + 1, 0);
   for (int c = 0; c < m; ++c) {
     const int deg = int(check_vars[std::size_t(c)].size());
@@ -96,32 +125,66 @@ LdpcCode::LdpcCode(int n, int m, std::uint64_t seed, int wc)
   }
   num_edges_ = check_edge_offset_[std::size_t(m)];
   edge_var_.resize(std::size_t(num_edges_));
-  edge_check_.resize(std::size_t(num_edges_));
-  std::vector<int> var_degree(std::size_t(n), 0);
+  std::vector<int> edge_check(static_cast<std::size_t>(num_edges_));
   for (int c = 0; c < m; ++c) {
     const auto& vars = check_vars[std::size_t(c)];
     const int base = check_edge_offset_[std::size_t(c)];
     for (std::size_t j = 0; j < vars.size(); ++j) {
       edge_var_[std::size_t(base) + j] = vars[j];
-      edge_check_[std::size_t(base) + j] = c;
-      ++var_degree[std::size_t(vars[j])];
+      edge_check[std::size_t(base) + j] = c;
     }
   }
-  var_edge_offset_.assign(std::size_t(n) + 1, 0);
-  for (int v = 0; v < n; ++v) {
-    var_edge_offset_[std::size_t(v) + 1] =
-        var_edge_offset_[std::size_t(v)] + var_degree[std::size_t(v)];
-  }
-  var_edges_.resize(std::size_t(num_edges_));
-  std::vector<int> cursor_of_var(var_edge_offset_.begin(),
-                                 var_edge_offset_.end() - 1);
-  // Second pass in the same (check, position) order as the old
-  // vector<vector> build, so each variable sees its edges in an
-  // identical order — the flooding schedule's float-summation order
-  // (and thus every decode outcome) is unchanged.
+  // Every column took exactly wc sockets, so variable v owns entries
+  // [v * wc, (v + 1) * wc) of the per-variable lists. Filled in edge-id
+  // order, the same order as the old vector<vector> build, so each
+  // variable sees its edges in an identical order — the flooding
+  // schedule's float-summation order (and thus every decode outcome)
+  // is unchanged.
+  std::vector<int> var_edges(static_cast<std::size_t>(num_edges_));
+  std::vector<int> cursor_of_var(std::size_t(n), 0);
   for (int e = 0; e < num_edges_; ++e) {
-    var_edges_[std::size_t(cursor_of_var[std::size_t(edge_var_[std::size_t(
-        e)])]++)] = e;
+    const auto v = std::size_t(edge_var_[std::size_t(e)]);
+    var_edges[v * std::size_t(wc) + std::size_t(cursor_of_var[v]++)] = e;
+  }
+
+  // Check-lane slab for the flooding schedule (see ldpc.h): group g's
+  // slot for (position, lane) is offset + position * 8 + lane.
+  constexpr int kLanes = simd::kCheckLanes;
+  const int groups = (m + kLanes - 1) / kLanes;
+  lane_group_offset_.assign(std::size_t(groups) + 1, 0);
+  std::vector<int> slot_of_edge(static_cast<std::size_t>(num_edges_));
+  for (int g = 0; g < groups; ++g) {
+    const auto degree = [&](int lane) {
+      const int c = g * kLanes + lane;
+      return c < m ? check_edge_offset_[std::size_t(c) + 1] -
+                         check_edge_offset_[std::size_t(c)]
+                   : 0;
+    };
+    int group_degree = 0;
+    for (int lane = 0; lane < kLanes; ++lane) {
+      group_degree = std::max(group_degree, degree(lane));
+    }
+    const int base = lane_group_offset_[std::size_t(g)];
+    lane_group_offset_[std::size_t(g) + 1] = base + group_degree * kLanes;
+    for (int lane = 0; lane < kLanes; ++lane) {
+      for (int pos = 0; pos < group_degree; ++pos) {
+        const int slot = base + pos * kLanes + lane;
+        if (pos < degree(lane)) {
+          const int c = g * kLanes + lane;
+          slot_of_edge[std::size_t(check_edge_offset_[std::size_t(c)] +
+                                   pos)] = slot;
+        } else {
+          pad_slots_.push_back(slot);
+        }
+      }
+    }
+  }
+  var_check_.resize(std::size_t(num_edges_));
+  var_slot_.resize(std::size_t(num_edges_));
+  for (int i = 0; i < num_edges_; ++i) {
+    const int e = var_edges[std::size_t(i)];
+    var_check_[std::size_t(i)] = edge_check[std::size_t(e)];
+    var_slot_[std::size_t(i)] = slot_of_edge[std::size_t(e)];
   }
 
   // --- Derive a systematic encoder by Gaussian elimination (RREF) on a
@@ -229,6 +292,12 @@ void LdpcCode::extract_info_into(std::span<const std::uint8_t> codeword,
   }
 }
 
+std::span<const int> LdpcCode::check_vars(int c) const {
+  const int begin = check_edge_offset_[std::size_t(c)];
+  const int end = check_edge_offset_[std::size_t(c) + 1];
+  return {edge_var_.data() + begin, std::size_t(end - begin)};
+}
+
 bool LdpcCode::check_parity(std::span<const std::uint8_t> cw) const {
   for (int c = 0; c < m_; ++c) {
     unsigned parity = 0;
@@ -247,63 +316,83 @@ LdpcCode::DecodeStatus LdpcCode::decode_into(std::span<const float> llr,
                                              int max_iterations,
                                              DecodeWorkspace& ws,
                                              LdpcSchedule schedule) const {
+  // SIMD-dispatched check-node kernels; bit-exact against the scalar
+  // reference at every level (see phy/simd.h), so decode outcomes —
+  // and the golden trace that pins them — don't depend on the CPU.
+  return decode_into(llr, max_iterations, ws, schedule, simd::kernels());
+}
+
+LdpcCode::DecodeStatus LdpcCode::decode_into(
+    std::span<const float> llr, int max_iterations, DecodeWorkspace& ws,
+    LdpcSchedule schedule, const simd::Kernels& kernels) const {
   if (int(llr.size()) != n_) {
     throw std::invalid_argument{"LdpcCode::decode: wrong LLR length"};
   }
-  ws.codeword.assign(std::size_t(n_), 0);
-  ws.var_to_check.resize(std::size_t(num_edges_));
-  ws.check_to_var.resize(std::size_t(num_edges_));
-  ws.syndrome.assign(std::size_t(m_), 0);
+  // Both schedules start from the channel hard decisions and their
+  // exact syndrome; flip_bit() keeps the syndrome and the
+  // unsatisfied-check count exact from then on.
+  ws.codeword.resize(std::size_t(n_));
+  for (int v = 0; v < n_; ++v) {
+    ws.codeword[std::size_t(v)] = llr[std::size_t(v)] < 0.0F ? 1 : 0;
+  }
+  ws.syndrome.resize(std::size_t(m_));
+  int unsatisfied = 0;
+  for (int c = 0; c < m_; ++c) {
+    std::uint8_t parity = 0;
+    for (int e = check_edge_offset_[std::size_t(c)];
+         e < check_edge_offset_[std::size_t(c) + 1]; ++e) {
+      parity ^= ws.codeword[std::size_t(edge_var_[std::size_t(e)])];
+    }
+    ws.syndrome[std::size_t(c)] = parity;
+    unsatisfied += parity;
+  }
 
   DecodeStatus status;
-  // All-zero hard decisions satisfy every check, so the live
-  // unsatisfied-check count starts at 0 and flip_bit() keeps it exact.
-  int unsatisfied = 0;
-
-  // SIMD-dispatched check-node kernel; bit-exact against the scalar
-  // reference at every level (see phy/simd.h), so decode outcomes —
-  // and the golden trace that pins them — don't depend on the CPU.
-  const auto& kernels = simd::kernels();
+  if (max_iterations <= 0) {
+    status.parity_ok = unsatisfied == 0;
+    return status;
+  }
 
   if (schedule == LdpcSchedule::kFlooding) {
-    // Init var->check with channel LLRs.
-    for (int e = 0; e < num_edges_; ++e) {
-      ws.var_to_check[std::size_t(e)] = llr[std::size_t(edge_var_[std::size_t(e)])];
+    if (unsatisfied == 0) {
+      // Zero syndrome: iteration 1 provably returns these hard
+      // decisions (see ldpc.h), so report it without passing a message.
+      status.parity_ok = true;
+      status.iterations_used = 1;
+      return status;
     }
+    // Channel LLRs into every real slot of the check-lane slab; pad
+    // slots hold kMinSumPad and the variable pass never writes them.
+    const auto slab = std::size_t(lane_group_offset_.back());
+    ws.var_to_check.resize(slab);
+    ws.check_to_var.resize(slab);
+    float* const q = ws.var_to_check.data();
+    float* const r = ws.check_to_var.data();
+    for (const int slot : pad_slots_) {
+      q[slot] = simd::kMinSumPad;
+    }
+    const int* slot = var_slot_.data();
+    for (const float channel : llr) {
+      for (int i = 0; i < wc_; ++i) {
+        q[*slot++] = channel;
+      }
+    }
+    const std::size_t groups = lane_group_offset_.size() - 1;
 
     for (int iter = 1; iter <= max_iterations; ++iter) {
-      // Check-node update (normalized min-sum with exclusion). Each
-      // check's edges are contiguous in the SoA arrays, so the kernel
-      // runs straight over the message slabs.
-      for (int c = 0; c < m_; ++c) {
-        const int base = check_edge_offset_[std::size_t(c)];
-        const int deg = check_edge_offset_[std::size_t(c) + 1] - base;
-        kernels.cn_minsum(&ws.var_to_check[std::size_t(base)],
-                          &ws.check_to_var[std::size_t(base)], deg,
-                          kMinSumScale);
+      // Check-node update (normalized min-sum with exclusion), eight
+      // checks per call.
+      for (std::size_t g = 0; g < groups; ++g) {
+        const int base = lane_group_offset_[g];
+        const int deg = (lane_group_offset_[g + 1] - base) / simd::kCheckLanes;
+        kernels.cn_minsum_lanes(q + base, r + base, deg, kMinSumScale);
       }
 
       // Variable-node update; parity tracked on the fly as hard
       // decisions flip.
-      for (int v = 0; v < n_; ++v) {
-        float total = llr[std::size_t(v)];
-        const int begin = var_edge_offset_[std::size_t(v)];
-        const int end = var_edge_offset_[std::size_t(v) + 1];
-        for (int i = begin; i < end; ++i) {
-          total += ws.check_to_var[std::size_t(var_edges_[std::size_t(i)])];
-        }
-        for (int i = begin; i < end; ++i) {
-          const int e = var_edges_[std::size_t(i)];
-          ws.var_to_check[std::size_t(e)] =
-              total - ws.check_to_var[std::size_t(e)];
-        }
-        const std::uint8_t bit = total < 0.0F ? 1 : 0;
-        if (bit != ws.codeword[std::size_t(v)]) {
-          ws.codeword[std::size_t(v)] = bit;
-          flip_bit(v, var_edge_offset_, var_edges_, edge_check_, ws.syndrome,
-                   unsatisfied);
-        }
-      }
+      (wc_ == 3 ? flooding_var_pass<3> : flooding_var_pass<0>)(
+          llr, wc_, var_slot_.data(), var_check_.data(), r, q,
+          ws.codeword.data(), ws.syndrome.data(), unsatisfied);
 
       status.iterations_used = iter;
       if (unsatisfied == 0) {
@@ -311,24 +400,15 @@ LdpcCode::DecodeStatus LdpcCode::decode_into(std::span<const float> llr,
         return status;
       }
     }
-    status.parity_ok = unsatisfied == 0;
     return status;
   }
 
   // --- Layered (serial-C) schedule: each check updates against the
   // live posterior, so beliefs propagate within an iteration.
   ws.posterior.assign(llr.begin(), llr.end());
-  std::fill(ws.check_to_var.begin(), ws.check_to_var.end(), 0.0F);
+  ws.check_to_var.assign(std::size_t(num_edges_), 0.0F);
   ws.layer_q.resize(std::size_t(max_check_degree_));
   ws.layer_r.resize(std::size_t(max_check_degree_));
-  // Seed hard decisions (and the tracked syndrome) from the channel.
-  for (int v = 0; v < n_; ++v) {
-    if (llr[std::size_t(v)] < 0.0F) {
-      ws.codeword[std::size_t(v)] = 1;
-      flip_bit(v, var_edge_offset_, var_edges_, edge_check_, ws.syndrome,
-               unsatisfied);
-    }
-  }
 
   for (int iter = 1; iter <= max_iterations; ++iter) {
     for (int c = 0; c < m_; ++c) {
@@ -355,7 +435,7 @@ LdpcCode::DecodeStatus LdpcCode::decode_into(std::span<const float> llr,
         const std::uint8_t bit = post < 0.0F ? 1 : 0;
         if (bit != ws.codeword[std::size_t(v)]) {
           ws.codeword[std::size_t(v)] = bit;
-          flip_bit(v, var_edge_offset_, var_edges_, edge_check_, ws.syndrome,
+          flip_bit(v, wc_, var_check_.data(), ws.syndrome.data(),
                    unsatisfied);
         }
       }
@@ -366,7 +446,6 @@ LdpcCode::DecodeStatus LdpcCode::decode_into(std::span<const float> llr,
       return status;
     }
   }
-  status.parity_ok = unsatisfied == 0;
   return status;
 }
 

@@ -19,13 +19,17 @@ namespace {
 // implementation below must match them bit-for-bit on finite inputs.
 // ---------------------------------------------------------------------
 
-void cn_minsum_scalar(const float* q, float* r, int deg, float scale) {
-  float min1 = 1e30F;
-  float min2 = 1e30F;
+// Min-sum over one check whose messages sit `kStride` floats apart:
+// stride 1 is a contiguous check (cn_minsum), stride kCheckLanes one
+// lane of a check group (cn_minsum_lanes).
+template <int kStride>
+void cn_minsum_strided(const float* q, float* r, int deg, float scale) {
+  float min1 = kMinSumPad;
+  float min2 = kMinSumPad;
   int min_pos = -1;
   unsigned sign_all = 0;
   for (int j = 0; j < deg; ++j) {
-    const float v = q[std::size_t(j)];
+    const float v = q[std::size_t(j) * kStride];
     const float mag = std::fabs(v);
     if (v < 0.0F) {
       sign_all ^= 1U;
@@ -39,10 +43,20 @@ void cn_minsum_scalar(const float* q, float* r, int deg, float scale) {
     }
   }
   for (int j = 0; j < deg; ++j) {
-    const float v = q[std::size_t(j)];
+    const float v = q[std::size_t(j) * kStride];
     const unsigned sign_excl = sign_all ^ (v < 0.0F ? 1U : 0U);
     const float mag = (j == min_pos) ? min2 : min1;
-    r[std::size_t(j)] = (sign_excl ? -1.0F : 1.0F) * scale * mag;
+    r[std::size_t(j) * kStride] = (sign_excl ? -1.0F : 1.0F) * scale * mag;
+  }
+}
+
+void cn_minsum_scalar(const float* q, float* r, int deg, float scale) {
+  cn_minsum_strided<1>(q, r, deg, scale);
+}
+
+void cn_minsum_lanes_scalar(const float* q, float* r, int deg, float scale) {
+  for (int lane = 0; lane < kCheckLanes; ++lane) {
+    cn_minsum_strided<kCheckLanes>(q + lane, r + lane, deg, scale);
   }
 }
 
@@ -208,9 +222,10 @@ void bfp_unpack_scalar(const std::uint8_t* src, std::size_t n, int m,
 }
 
 constexpr Kernels kScalarKernels{
-    cn_minsum_scalar,  demap_soft_scalar,    deadline_scan_scalar,
-    ar1_update_scalar, peak_abs_scalar,      bfp_quantize_scalar,
-    bfp_dequantize_scalar, bfp_pack_scalar,  bfp_unpack_scalar};
+    cn_minsum_scalar,      cn_minsum_lanes_scalar, demap_soft_scalar,
+    deadline_scan_scalar,  ar1_update_scalar,      peak_abs_scalar,
+    bfp_quantize_scalar,   bfp_dequantize_scalar,  bfp_pack_scalar,
+    bfp_unpack_scalar};
 
 #if SLINGSHOT_SIMD_X86
 
@@ -303,6 +318,39 @@ void cn_minsum_sse2(const float* q, float* r, int deg, float scale) {
     alignas(16) float out_buf[4];
     _mm_store_ps(out_buf, _mm_xor_ps(_mm_mul_ps(vscale, sel), flip));
     std::memcpy(r + j, out_buf, std::size_t(tail) * sizeof(float));
+  }
+}
+
+// Lane-wise: each of the 8 lanes is its own check, so the two smallest
+// magnitudes and the sign parity never leave their lane. Two 4-wide
+// halves keep the lane count at kCheckLanes.
+void cn_minsum_lanes_sse2(const float* q, float* r, int deg, float scale) {
+  const __m128 sign_mask = _mm_set1_ps(-0.0F);
+  const __m128 zero = _mm_setzero_ps();
+  const __m128 vscale = _mm_set1_ps(scale);
+  for (int half = 0; half < kCheckLanes; half += 4) {
+    __m128 vmin1 = _mm_set1_ps(kMinSumPad);
+    __m128 vmin2 = vmin1;
+    __m128 parity = zero;  // sign bit set where the lane has odd negatives
+    for (int j = 0; j < deg; ++j) {
+      const __m128 v = _mm_loadu_ps(q + j * kCheckLanes + half);
+      const __m128 mag = _mm_andnot_ps(sign_mask, v);
+      parity = _mm_xor_ps(parity,
+                          _mm_and_ps(_mm_cmplt_ps(v, zero), sign_mask));
+      vmin2 = _mm_min_ps(vmin2, _mm_max_ps(vmin1, mag));
+      vmin1 = _mm_min_ps(vmin1, mag);
+    }
+    for (int j = 0; j < deg; ++j) {
+      const __m128 v = _mm_loadu_ps(q + j * kCheckLanes + half);
+      const __m128 mag = _mm_andnot_ps(sign_mask, v);
+      const __m128 eq = _mm_cmpeq_ps(mag, vmin1);
+      const __m128 sel =
+          _mm_or_ps(_mm_and_ps(eq, vmin2), _mm_andnot_ps(eq, vmin1));
+      const __m128 neg = _mm_and_ps(_mm_cmplt_ps(v, zero), sign_mask);
+      _mm_storeu_ps(r + j * kCheckLanes + half,
+                    _mm_xor_ps(_mm_mul_ps(vscale, sel),
+                               _mm_xor_ps(neg, parity)));
+    }
   }
 }
 
@@ -559,9 +607,10 @@ void bfp_unpack_sse2(const std::uint8_t* src, std::size_t n, int m,
 }
 
 constexpr Kernels kSse2Kernels{
-    cn_minsum_sse2,  demap_soft_sse2,    deadline_scan_sse2,
-    ar1_update_sse2, peak_abs_sse2,      bfp_quantize_sse2,
-    bfp_dequantize_sse2, bfp_pack_sse2,  bfp_unpack_sse2};
+    cn_minsum_sse2,      cn_minsum_lanes_sse2, demap_soft_sse2,
+    deadline_scan_sse2,  ar1_update_sse2,      peak_abs_sse2,
+    bfp_quantize_sse2,   bfp_dequantize_sse2,  bfp_pack_sse2,
+    bfp_unpack_sse2};
 
 // ---------------------------------------------------------------------
 // AVX2.
@@ -646,6 +695,37 @@ __attribute__((target("avx2"))) void cn_minsum_avx2(const float* q, float* r,
   }
 }
 
+__attribute__((target("avx2"))) void cn_minsum_lanes_avx2(const float* q,
+                                                          float* r, int deg,
+                                                          float scale) {
+  const __m256 sign_mask = _mm256_set1_ps(-0.0F);
+  const __m256 zero = _mm256_setzero_ps();
+  __m256 vmin1 = _mm256_set1_ps(kMinSumPad);
+  __m256 vmin2 = vmin1;
+  __m256 parity = zero;  // sign bit set where the lane has odd negatives
+  for (int j = 0; j < deg; ++j) {
+    const __m256 v = _mm256_loadu_ps(q + j * kCheckLanes);
+    const __m256 mag = _mm256_andnot_ps(sign_mask, v);
+    parity = _mm256_xor_ps(
+        parity,
+        _mm256_and_ps(_mm256_cmp_ps(v, zero, _CMP_LT_OQ), sign_mask));
+    vmin2 = _mm256_min_ps(vmin2, _mm256_max_ps(vmin1, mag));
+    vmin1 = _mm256_min_ps(vmin1, mag);
+  }
+  const __m256 vscale = _mm256_set1_ps(scale);
+  for (int j = 0; j < deg; ++j) {
+    const __m256 v = _mm256_loadu_ps(q + j * kCheckLanes);
+    const __m256 mag = _mm256_andnot_ps(sign_mask, v);
+    const __m256 eq = _mm256_cmp_ps(mag, vmin1, _CMP_EQ_OQ);
+    const __m256 sel = _mm256_blendv_ps(vmin1, vmin2, eq);
+    const __m256 neg =
+        _mm256_and_ps(_mm256_cmp_ps(v, zero, _CMP_LT_OQ), sign_mask);
+    _mm256_storeu_ps(r + j * kCheckLanes,
+                     _mm256_xor_ps(_mm256_mul_ps(vscale, sel),
+                                   _mm256_xor_ps(neg, parity)));
+  }
+}
+
 __attribute__((target("avx2"))) void demap_soft_avx2(
     const std::complex<float>* symbols, std::size_t count,
     const float* levels, int bits_per_dim, double sigma2, float* out) {
@@ -693,6 +773,11 @@ __attribute__((target("avx2"))) void demap_soft_avx2(
     }
   }
   if (s < count) {
+    // GCC inlines the scalar tail and can return from it without the
+    // vzeroupper it emits on the other exits; dirty upper YMM halves
+    // then slow every later legacy-SSE instruction (libm's log ~30x)
+    // until some other kernel happens to clear them.
+    _mm256_zeroupper();
     demap_soft_scalar(symbols + s, count - s, levels, bits_per_dim, sigma2,
                       out + s * bps);
   }
@@ -891,9 +976,10 @@ __attribute__((target("avx2"))) void bfp_unpack_avx2(const std::uint8_t* src,
 }
 
 constexpr Kernels kAvx2Kernels{
-    cn_minsum_avx2,  demap_soft_avx2,    deadline_scan_avx2,
-    ar1_update_avx2, peak_abs_avx2,      bfp_quantize_avx2,
-    bfp_dequantize_avx2, bfp_pack_avx2,  bfp_unpack_avx2};
+    cn_minsum_avx2,      cn_minsum_lanes_avx2, demap_soft_avx2,
+    deadline_scan_avx2,  ar1_update_avx2,      peak_abs_avx2,
+    bfp_quantize_avx2,   bfp_dequantize_avx2,  bfp_pack_avx2,
+    bfp_unpack_avx2};
 
 #endif  // SLINGSHOT_SIMD_X86
 

@@ -1,6 +1,7 @@
 // Runtime-dispatched SIMD kernels for the PHY's two hottest inner
-// loops: the normalized min-sum check-node update (ldpc.cc) and the
-// max-log soft demapper (modulation.cc).
+// loops: the normalized min-sum check-node update (ldpc.cc; one check
+// at a time for the layered schedule, eight check lanes at a time for
+// flooding) and the max-log soft demapper (modulation.cc).
 //
 // Contract: every implementation is BIT-EXACT against the scalar
 // reference on all finite inputs — same floats out, down to the sign
@@ -35,6 +36,17 @@ enum class Level { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
 [[nodiscard]] const char* level_name(Level level);
 
+// Checks per cn_minsum_lanes call. Fixed at 8 on every level (SSE2
+// runs two 4-wide halves, scalar loops), so the decoder's message
+// layout never depends on the CPU.
+inline constexpr int kCheckLanes = 8;
+
+// Pad value for message slots past a check's real degree, and the
+// min-sum trackers' start value: positive (no sign contribution) and
+// never below min1 or min2, so it never replaces either, and a padded
+// check computes exactly what the unpadded one does.
+inline constexpr float kMinSumPad = 1e30F;
+
 struct Kernels {
   // Normalized min-sum check-node update over one check's `deg`
   // incoming messages q[0..deg): r[j] gets the sign-excluded product
@@ -42,6 +54,14 @@ struct Kernels {
   // position j (i.e. min2 at the argmin position, min1 elsewhere).
   // q and r must not alias.
   void (*cn_minsum)(const float* q, float* r, int deg, float scale);
+
+  // The same update on kCheckLanes checks at once, lane-wise with no
+  // horizontal merge. q and r hold a group of checks position-major:
+  // q[pos * kCheckLanes + lane], pos in [0, deg). Each lane's column
+  // gets exactly what cn_minsum gives on that column; a check shorter
+  // than `deg` pads its column with kMinSumPad, which leaves its real
+  // outputs unchanged. q and r must not alias.
+  void (*cn_minsum_lanes)(const float* q, float* r, int deg, float scale);
 
   // Max-log LLR soft demap of `count` Gray-mapped square-QAM symbols.
   // `levels` holds the 1 << bits_per_dim PAM amplitudes indexed by

@@ -19,6 +19,11 @@
 #include "phy/modulation.h"
 #include "phy/simd.h"
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace slingshot {
 namespace {
 
@@ -46,22 +51,26 @@ void expect_cn_minsum_parity(const std::vector<float>& q, float scale) {
   }
 }
 
+// Signed zeros, repeated magnitudes (the tie-selection proof), tiny,
+// huge and ordinary values.
+float adversarial_value(RngStream& rng) {
+  switch (rng.next_u64() % 8) {
+    case 0: return 0.0F;
+    case 1: return -0.0F;
+    case 2: return (rng.next_u64() & 1U) ? 1.25F : -1.25F;
+    case 3: return float(rng.gaussian(0.0, 1e-4));
+    case 4: return float(rng.gaussian(0.0, 1e6));
+    default: return float(rng.gaussian(0.0, 5.0));
+  }
+}
+
 TEST(SimdKernels, CnMinsumMatchesScalarOnRandomInputs) {
   auto rng = RngRegistry{2024}.stream("cn-parity");
   for (int trial = 0; trial < 3000; ++trial) {
     const int deg = 1 + int(rng.next_u64() % 24);
     std::vector<float> q(static_cast<std::size_t>(deg));
     for (auto& v : q) {
-      switch (rng.next_u64() % 8) {
-        case 0: v = 0.0F; break;
-        case 1: v = -0.0F; break;
-        case 2:  // repeated magnitude: exercises the tie-selection proof
-          v = (rng.next_u64() & 1U) ? 1.25F : -1.25F;
-          break;
-        case 3: v = float(rng.gaussian(0.0, 1e-4)); break;   // tiny
-        case 4: v = float(rng.gaussian(0.0, 1e6)); break;    // huge
-        default: v = float(rng.gaussian(0.0, 5.0)); break;
-      }
+      v = adversarial_value(rng);
     }
     expect_cn_minsum_parity(q, 0.8F);
   }
@@ -91,6 +100,100 @@ TEST(SimdKernels, CnMinsumMatchesScalarWhenAllMagnitudesTie) {
       q[std::size_t(i)] = (i % 2 != 0) ? -2.5F : 2.5F;
     }
     expect_cn_minsum_parity(q, 0.8F);
+  }
+}
+
+// ---- cn_minsum_lanes: eight checks per call, [position][lane] ----
+
+constexpr int kLanes = simd::kCheckLanes;
+
+// A check group of slab degree `deg` whose lane l holds lane_degree[l]
+// real messages from `draw` and kMinSumPad below them.
+template <typename Draw>
+std::vector<float> make_group(int deg, const std::vector<int>& lane_degree,
+                              Draw&& draw) {
+  std::vector<float> q(std::size_t(deg * kLanes), simd::kMinSumPad);
+  for (int lane = 0; lane < kLanes; ++lane) {
+    for (int pos = 0; pos < lane_degree[std::size_t(lane)]; ++pos) {
+      q[std::size_t(pos * kLanes + lane)] = draw();
+    }
+  }
+  return q;
+}
+
+// Every level's lane kernel against the contiguous scalar kernel run on
+// each lane's padded column, and — the pad rule — each lane's real
+// outputs against the scalar kernel on its unpadded messages alone.
+void expect_cn_minsum_lanes_parity(const std::vector<float>& q, int deg,
+                                   const std::vector<int>& lane_degree,
+                                   float scale) {
+  const auto& scalar = simd::kernels_for(simd::Level::kScalar);
+  std::vector<float> want(q.size());
+  std::vector<float> column(static_cast<std::size_t>(deg));
+  std::vector<float> out(static_cast<std::size_t>(deg));
+  for (int lane = 0; lane < kLanes; ++lane) {
+    for (int pos = 0; pos < deg; ++pos) {
+      column[std::size_t(pos)] = q[std::size_t(pos * kLanes + lane)];
+    }
+    scalar.cn_minsum(column.data(), out.data(), deg, scale);
+    for (int pos = 0; pos < deg; ++pos) {
+      want[std::size_t(pos * kLanes + lane)] = out[std::size_t(pos)];
+    }
+    const int real = lane_degree[std::size_t(lane)];
+    if (real > 0) {
+      std::vector<float> unpadded(static_cast<std::size_t>(real));
+      scalar.cn_minsum(column.data(), unpadded.data(), real, scale);
+      EXPECT_EQ(std::memcmp(unpadded.data(), out.data(),
+                            unpadded.size() * sizeof(float)),
+                0)
+          << "pad changed lane " << lane << " (degree " << real << " of "
+          << deg << ")";
+    }
+  }
+  for (const auto level : {simd::Level::kScalar, simd::Level::kSse2,
+                           simd::Level::kAvx2}) {
+    if (!simd::level_supported(level)) {
+      continue;
+    }
+    std::vector<float> got(q.size(), -999.0F);
+    simd::kernels_for(level).cn_minsum_lanes(q.data(), got.data(), deg,
+                                             scale);
+    EXPECT_EQ(
+        std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0)
+        << "level " << simd::level_name(level) << " deg " << deg;
+  }
+}
+
+// Every slab degree from 2 to 24, each lane with its own real degree
+// in [0, deg]: full lanes, padded lanes and empty (all-pad) lanes.
+TEST(SimdKernels, CnMinsumLanesMatchesScalarAtEveryDegreeWithPadLanes) {
+  auto rng = RngRegistry{2027}.stream("cn-lanes");
+  for (int deg = 2; deg <= 24; ++deg) {
+    for (int rep = 0; rep < 60; ++rep) {
+      std::vector<int> lane_degree(kLanes);
+      for (auto& d : lane_degree) {
+        d = (rep % 3 == 0) ? deg : int(rng.next_u64() % std::uint64_t(deg + 1));
+      }
+      const auto q = make_group(deg, lane_degree,
+                                [&] { return adversarial_value(rng); });
+      expect_cn_minsum_lanes_parity(q, deg, lane_degree, 0.8F);
+    }
+  }
+}
+
+TEST(SimdKernels, CnMinsumLanesMatchesScalarWhenAllMagnitudesTie) {
+  for (const int deg : {2, 3, 6, 7, 8, 9, 16}) {
+    for (const float magnitude : {2.5F, 0.0F}) {
+      std::vector<int> lane_degree(kLanes);
+      for (int lane = 0; lane < kLanes; ++lane) {
+        lane_degree[std::size_t(lane)] = std::max(2, deg - lane % 3);
+      }
+      int k = 0;
+      const auto q = make_group(deg, lane_degree, [&] {
+        return (k++ % 3 == 1) ? -magnitude : magnitude;  // +/-0.0 too
+      });
+      expect_cn_minsum_lanes_parity(q, deg, lane_degree, 0.8F);
+    }
   }
 }
 
@@ -330,6 +433,92 @@ TEST(SimdKernels, UnsupportedLevelFallsBackToScalar) {
     }
   }
 }
+
+#if defined(__x86_64__)
+// XINUSE bit 2 (xgetbv with ecx = 1): the upper YMM halves may be
+// non-zero. Left set after an AVX2 kernel returns, every later
+// legacy-SSE instruction — libm, the channel model — pays a state
+// transition penalty until some other code runs vzeroupper.
+__attribute__((target("xsave"))) bool avx_upper_in_use() {
+  return (_xgetbv(1) & 4U) != 0;
+}
+__attribute__((target("avx"))) void clear_avx_upper() { _mm256_zeroupper(); }
+
+// A 256-bit add and nothing else: returns clean only when the compiler
+// inserts vzeroupper on exit, which GCC does from -O2 (its pass is gated
+// on -fexpensive-optimizations), not in the -O1 sanitizer builds.
+__attribute__((target("avx"), noinline)) float touch_ymm(const float* x) {
+  alignas(32) float out[8];
+  _mm256_store_ps(out, _mm256_add_ps(_mm256_loadu_ps(x), _mm256_loadu_ps(x)));
+  return out[3];
+}
+
+bool xinuse_supported() {
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  return __get_cpuid_count(0xD, 1, &eax, &ebx, &ecx, &edx) != 0 &&
+         (eax & 4U) != 0;
+}
+
+TEST(SimdKernels, Avx2KernelsReturnWithCleanUpperState) {
+  if (!simd::level_supported(simd::Level::kAvx2) || !xinuse_supported()) {
+    GTEST_SKIP() << "needs AVX2 and xgetbv(1)";
+  }
+  clear_avx_upper();
+  if (avx_upper_in_use()) {
+    GTEST_SKIP() << "this CPU reports XINUSE[2] conservatively";
+  }
+  const float ones[8] = {1, 1, 1, 1, 1, 1, 1, 1};
+  EXPECT_EQ(touch_ymm(ones), 2.0F);
+  if (avx_upper_in_use()) {
+    clear_avx_upper();
+    GTEST_SKIP() << "this build does not insert vzeroupper";
+  }
+  const auto& k = simd::kernels_for(simd::Level::kAvx2);
+  const float levels[4] = {-3.0F, -1.0F, 1.0F, 3.0F};
+  // Every vector-tail length, so each kernel's remainder path runs.
+  for (std::size_t n = 1; n <= 40; ++n) {
+    std::vector<std::complex<float>> syms(n, {0.3F, -0.7F});
+    std::vector<float> x(2 * n, 0.5F);
+    std::vector<float> innov(2 * n, 0.1F);
+    std::vector<float> out(4 * n);
+    std::vector<std::int64_t> deadlines(n, 5);
+    std::vector<std::uint32_t> hits(n);
+    std::vector<std::int32_t> mantissas(2 * n, 3);
+    std::vector<std::uint8_t> bytes(4 * n);
+    std::vector<float> group(std::size_t(kLanes) * n, 1.0F);
+    std::vector<float> group_out(group.size());
+    const auto expect_clean = [&](const char* kernel) {
+      EXPECT_FALSE(avx_upper_in_use()) << kernel << " n " << n;
+      clear_avx_upper();
+    };
+    k.cn_minsum(x.data(), out.data(), int(n), 0.8F);
+    expect_clean("cn_minsum");
+    k.cn_minsum_lanes(group.data(), group_out.data(), int(n), 0.8F);
+    expect_clean("cn_minsum_lanes");
+    k.demap_soft(syms.data(), n, levels, 2, 0.1, out.data());
+    expect_clean("demap_soft");
+    (void)k.deadline_scan(deadlines.data(), n, 10, hits.data());
+    expect_clean("deadline_scan");
+    k.ar1_update(x.data(), n, 0.5F, 0.9F, innov.data());
+    expect_clean("ar1_update");
+    (void)k.peak_abs(x.data(), n);
+    expect_clean("peak_abs");
+    k.bfp_quantize(x.data(), n, 0.25, 127, mantissas.data());
+    expect_clean("bfp_quantize");
+    k.bfp_dequantize(mantissas.data(), n, 0.25F, x.data());
+    expect_clean("bfp_dequantize");
+    for (const int m : {8, 9, 16}) {
+      (void)k.bfp_pack(mantissas.data(), n, m, bytes.data());
+      expect_clean("bfp_pack");
+      k.bfp_unpack(bytes.data(), n, m, mantissas.data());
+      expect_clean("bfp_unpack");
+    }
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace slingshot
