@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "channel/channel.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -55,11 +57,18 @@ TEST(TbCodec, WrongShadowPayloadFailsCrc) {
   EXPECT_FALSE(dec.crc_ok);     // but it does not match the payload
 }
 
+// gtest names a parameter that has no PrintTo by dumping its bytes, so the
+// bytes after `mod` are a zeroed member rather than padding: padding would
+// carry leftover stack bytes and give the test a different name every run.
 struct SnrCase {
+  SnrCase(Modulation m, double good, double bad)
+      : mod(m), good_snr_db(good), bad_snr_db(bad) {}
   Modulation mod;
+  std::uint8_t zero_pad[7]{};
   double good_snr_db;
   double bad_snr_db;
 };
+static_assert(sizeof(SnrCase) == 24);
 
 class TbCodecSnr : public ::testing::TestWithParam<SnrCase> {};
 
