@@ -9,7 +9,7 @@ ThreadPool::ThreadPool(int num_workers)
     : num_workers_(std::max(1, num_workers)) {
   threads_.reserve(std::size_t(num_workers_ - 1));
   for (int w = 1; w < num_workers_; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -24,19 +24,19 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-std::size_t ThreadPool::run_tasks(int worker_id) {
+std::size_t ThreadPool::run_tasks() {
   std::size_t done = 0;
   for (;;) {
     const std::size_t i = next_task_.fetch_add(1, std::memory_order_relaxed);
     if (i >= job_n_) {
       return done;
     }
-    job_fn_(job_ctx_, i, worker_id);
+    job_fn_(job_ctx_, i);
     ++done;
   }
 }
 
-void ThreadPool::worker_loop(int worker_id) {
+void ThreadPool::worker_loop() {
   std::uint64_t seen_epoch = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -46,12 +46,17 @@ void ThreadPool::worker_loop(int worker_id) {
       return;
     }
     seen_epoch = epoch_;
+    if (pending_ == 0) {
+      // Woke only after that fork's join: its job is retired, and
+      // checking in now would overlap the next fork's publish.
+      continue;
+    }
     // Checked in: the forking thread will not retire or replace the job
     // state until this worker checks out below, so run_tasks() reads
     // job_fn_/job_ctx_/job_n_ race-free outside the lock.
     ++active_;
     lock.unlock();
-    const std::size_t done = run_tasks(worker_id);
+    const std::size_t done = run_tasks();
     lock.lock();
     --active_;
     pending_ -= done;
@@ -62,7 +67,7 @@ void ThreadPool::worker_loop(int worker_id) {
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              void (*fn)(void*, std::size_t, int),
+                              void (*fn)(void*, std::size_t),
                               void* ctx) {
   if (n == 0) {
     return;
@@ -72,7 +77,7 @@ void ThreadPool::parallel_for(std::size_t n,
   // contract (each task is a pure function of its own inputs).
   if (num_workers_ == 1 || n == 1) {
     for (std::size_t i = 0; i < n; ++i) {
-      fn(ctx, i, 0);
+      fn(ctx, i);
     }
     return;
   }
@@ -88,8 +93,8 @@ void ThreadPool::parallel_for(std::size_t n,
     ++epoch_;
   }
   cv_start_.notify_all();
-  // The forking thread participates as worker 0.
-  const std::size_t done = run_tasks(/*worker_id=*/0);
+  // The forking thread participates as worker zero.
+  const std::size_t done = run_tasks();
   std::unique_lock<std::mutex> lock(mutex_);
   pending_ -= done;
   // The join: every task has run AND every woken worker has checked

@@ -1,41 +1,40 @@
 // Deterministic fork-join worker pool.
 //
-// The simulator core stays single-threaded: events execute one at a
-// time in (time, seq) order. What the pool adds is *intra-event* data
-// parallelism — a component servicing an event (e.g. the PHY decoding a
-// slot's transport blocks) can fan a fixed, pre-built task list out
-// across workers and join before returning to the event loop. Nothing
-// escapes the fork-join region: no task schedules events, touches
-// shared mutable state, or outlives the join, so the event loop — and
-// with it the golden-trace (time, seq) hash — is bit-identical at every
-// thread count.
+// Its one job is the ShardedSimulator window (sim/sharded.h): each
+// conservative time window forks one task per event island, every
+// island advances to the window end on whichever thread claimed it, and
+// the join is the barrier after which the coordinating thread drains
+// the cross-island mailbox. Each island is a self-contained Simulator,
+// so the simulator core itself stays single-threaded.
 //
 // Determinism contract (what callers must uphold, and what
 // parallel_for guarantees):
 //  * Tasks are enqueued in a fixed index order [0, n) decided before
-//    the fork. Workers claim indices dynamically (which worker runs
+//    the fork. Threads claim indices dynamically (which thread runs
 //    which index is scheduling noise), so each task must depend only on
-//    its own pre-staged inputs — never on another task's output.
-//  * Each task writes only into its own pre-sized result slot (and
-//    per-worker scratch identified by the worker id). Task i's result
-//    is therefore a pure function of task i's inputs, and the joined
-//    result set is independent of thread count and claim order.
+//    its own inputs — never on another task's output.
+//  * Each task writes only state it owns (for the sharded simulator:
+//    its island and that island's outbox). The joined result set is
+//    therefore independent of thread count and claim order.
 //  * parallel_for returns only after every task has finished (a full
 //    barrier), so the caller can consume results serially, in task
-//    order, on the event-loop thread.
+//    order, on the coordinating thread.
 //
 // The hot path allocates nothing: tasks are a raw function pointer plus
 // a context pointer (the caller keeps the real closure on its stack),
-// claiming is one atomic fetch_add per task, and the caller participates
-// as worker 0 instead of blocking while n-1 workers do the work.
+// claiming is one atomic fetch_add per task, and the calling thread
+// participates as worker zero instead of blocking while the spawned
+// threads do the work.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace slingshot {
@@ -54,32 +53,30 @@ class ThreadPool {
 
   [[nodiscard]] int num_workers() const { return num_workers_; }
 
-  // Run fn(ctx, task_index, worker_id) for every task_index in [0, n),
-  // blocking until all tasks complete. worker_id is in
-  // [0, num_workers()); the calling thread is always worker 0. Must be
-  // called from the thread that owns the pool (not from inside a task).
-  void parallel_for(std::size_t n, void (*fn)(void*, std::size_t, int),
+  // Run fn(ctx, task_index) for every task_index in [0, n), blocking
+  // until all tasks complete. The calling thread runs tasks too. Must
+  // be called from the thread that owns the pool (not from inside a
+  // task).
+  void parallel_for(std::size_t n, void (*fn)(void*, std::size_t),
                     void* ctx);
 
   // Type-safe wrapper: `body` is any callable taking
-  // (std::size_t task_index, int worker_id). The callable lives on the
-  // caller's stack — no allocation, no std::function.
+  // (std::size_t task_index). The callable lives on the caller's
+  // stack — no allocation, no std::function.
   template <typename Body>
   void parallel_for(std::size_t n, Body&& body) {
     using B = std::remove_reference_t<Body>;
     parallel_for(
         n,
-        [](void* ctx, std::size_t i, int worker) {
-          (*static_cast<B*>(ctx))(i, worker);
-        },
+        [](void* ctx, std::size_t i) { (*static_cast<B*>(ctx))(i); },
         const_cast<std::remove_const_t<B>*>(std::addressof(body)));
   }
 
  private:
-  void worker_loop(int worker_id);
+  void worker_loop();
   // Claim-and-run loop shared by workers and the caller; returns the
   // number of tasks this thread completed.
-  std::size_t run_tasks(int worker_id);
+  std::size_t run_tasks();
 
   const int num_workers_;
   std::vector<std::thread> threads_;
@@ -93,7 +90,7 @@ class ThreadPool {
   // Current job. fn/ctx/n are stable from publish until the join
   // completes (workers hold active_ > 0 while reading them); claiming
   // is the one lock-free operation on the task path.
-  void (*job_fn_)(void*, std::size_t, int) = nullptr;
+  void (*job_fn_)(void*, std::size_t) = nullptr;
   void* job_ctx_ = nullptr;
   std::size_t job_n_ = 0;
   std::atomic<std::size_t> next_task_{0};

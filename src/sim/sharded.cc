@@ -64,7 +64,7 @@ void ShardedSimulator::run_until(Nanos t_end) {
       // Which worker runs which island is scheduling noise: islands
       // share no mutable state, and outbox writes are published to the
       // coordinating thread by the parallel_for join (the barrier).
-      auto body = [&](std::size_t i, int) { islands_[i]->run_until(w_end); };
+      auto body = [&](std::size_t i) { islands_[i]->run_until(w_end); };
       pool_->parallel_for(n, body);
     } else {
       for (Simulator* island : islands_) {

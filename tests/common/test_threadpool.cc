@@ -1,9 +1,9 @@
 // Deterministic fork-join pool (common/threadpool.h).
 //
 // The contract under test: parallel_for runs every index in [0, n)
-// exactly once, joins before returning, hands out worker ids inside
-// [0, num_workers), and — because tasks write disjoint slots — produces
-// results independent of worker count and claim order. The stress
+// exactly once, joins before returning, lets the calling thread run
+// tasks, and — because tasks write disjoint slots — produces results
+// independent of worker count and claim order. The stress
 // cases re-fork the same pool thousands of times with varying n, which
 // is what shakes out publish/join races under TSAN.
 #include <gtest/gtest.h>
@@ -30,11 +30,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
       for (auto& h : hits) {
         h.store(0);
       }
-      pool.parallel_for(n, [&](std::size_t i, int worker) {
-        EXPECT_GE(worker, 0);
-        EXPECT_LT(worker, workers);
-        hits[i].fetch_add(1);
-      });
+      pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(hits[i].load(), 1) << "index " << i << " workers "
                                      << workers;
@@ -46,7 +42,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
 TEST(ThreadPool, JoinsBeforeReturning) {
   ThreadPool pool{4};
   std::vector<std::uint8_t> done(512, 0);
-  pool.parallel_for(done.size(), [&](std::size_t i, int) { done[i] = 1; });
+  pool.parallel_for(done.size(), [&](std::size_t i) { done[i] = 1; });
   // If the join were incomplete this read would race (TSAN) or see 0.
   EXPECT_EQ(std::accumulate(done.begin(), done.end(), 0), 512);
 }
@@ -55,7 +51,7 @@ TEST(ThreadPool, DisjointSlotResultsAreThreadCountInvariant) {
   auto run = [](int workers) {
     ThreadPool pool{workers};
     std::vector<std::uint64_t> out(257, 0);
-    pool.parallel_for(out.size(), [&](std::size_t i, int) {
+    pool.parallel_for(out.size(), [&](std::size_t i) {
       // A task is a pure function of its index.
       std::uint64_t v = i * 0x9E3779B97F4A7C15ULL + 1;
       v ^= v >> 29;
@@ -71,15 +67,16 @@ TEST(ThreadPool, DisjointSlotResultsAreThreadCountInvariant) {
 
 TEST(ThreadPool, CallerParticipatesAsWorkerZero) {
   ThreadPool pool{3};
-  std::atomic<int> worker0_hits{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> caller_hits{0};
   std::atomic<bool> caller_ran{false};
   // Spawned workers park inside their first task until the caller has
   // run one, so the remaining tasks can only be claimed by the calling
-  // thread — which joins as worker 0 by construction. Without the gate
-  // the spawned threads could race through all tasks first.
-  pool.parallel_for(1000, [&](std::size_t, int worker) {
-    if (worker == 0) {
-      worker0_hits.fetch_add(1);
+  // thread. Without the gate the spawned threads could race through all
+  // tasks first.
+  pool.parallel_for(1000, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      caller_hits.fetch_add(1);
       caller_ran.store(true);
     } else {
       while (!caller_ran.load()) {
@@ -87,7 +84,7 @@ TEST(ThreadPool, CallerParticipatesAsWorkerZero) {
       }
     }
   });
-  EXPECT_GT(worker0_hits.load(), 0);
+  EXPECT_GT(caller_hits.load(), 0);
 }
 
 TEST(ThreadPool, ReforkStress) {
@@ -97,7 +94,7 @@ TEST(ThreadPool, ReforkStress) {
     const std::size_t n = std::size_t(round % 13);
     std::vector<std::uint64_t> out(n, 0);
     pool.parallel_for(n,
-                      [&](std::size_t i, int) { out[i] = i + 1; });
+                      [&](std::size_t i) { out[i] = i + 1; });
     checksum += std::accumulate(out.begin(), out.end(), std::uint64_t(0));
   }
   // sum over rounds of n*(n+1)/2 with n cycling 0..12.
@@ -113,8 +110,9 @@ TEST(ThreadPool, SingleWorkerPoolRunsInline) {
   ThreadPool pool{1};
   EXPECT_EQ(pool.num_workers(), 1);
   std::vector<int> order;
-  pool.parallel_for(5, [&](std::size_t i, int worker) {
-    EXPECT_EQ(worker, 0);
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.parallel_for(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     order.push_back(int(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -124,7 +122,7 @@ TEST(ThreadPool, ClampsNonPositiveWorkerCount) {
   ThreadPool pool{0};
   EXPECT_EQ(pool.num_workers(), 1);
   int runs = 0;
-  pool.parallel_for(3, [&](std::size_t, int) { ++runs; });
+  pool.parallel_for(3, [&](std::size_t) { ++runs; });
   EXPECT_EQ(runs, 3);
 }
 

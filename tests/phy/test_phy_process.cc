@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
+
+#include "common/rng.h"
 #include "net/nic.h"
 #include "phy/tb_codec.h"
 
@@ -67,7 +71,36 @@ struct PhyFixture {
       phy->on_fapi(make_null_ul_tti(RuId{1}, first + i));
     }
   }
+
+  // Deliver `section` for UL slot `slot` 200 us into the slot, as the
+  // RU would.
+  void deliver_ul(std::int64_t slot, UPlaneSection section) {
+    FronthaulPacket up;
+    up.header.direction = FhDirection::kUplink;
+    up.header.plane = FhPlane::kUser;
+    up.header.slot = SlotPoint::from_index(slot, config.slots);
+    up.header.ru = RuId{1};
+    up.uplane.sections.push_back(std::move(section));
+    sim.at(Nanos(slot) * 500_us + 200_us, [this, up] {
+      link.send_from_b(make_fronthaul_frame(MacAddr{0xA1}, MacAddr{0xB1}, up));
+    });
+  }
 };
+
+// A clean UE-1 / HARQ-0 QPSK uplink section carrying `payload`.
+UPlaneSection qpsk_section(const std::vector<std::uint8_t>& payload) {
+  const auto enc = encode_tb(payload, Modulation::kQpsk);
+  UPlaneSection section;
+  section.ue = UeId{1};
+  section.harq = HarqId{0};
+  section.new_data = true;
+  section.mcs = 0;
+  section.tb_bytes = std::uint32_t(payload.size());
+  section.codeword_bits = enc.codeword_bits;
+  section.iq = enc.iq;
+  section.shadow_payload = payload;
+  return section;
+}
 
 TEST(PhyProcess, ConfigProducesResponse) {
   PhyFixture f;
@@ -167,25 +200,7 @@ TEST(PhyProcess, DecodesUplinkWithPipelineDelay) {
   f.phy->on_fapi(FapiMessage{RuId{1}, 9, std::move(ul)});
 
   const std::vector<std::uint8_t> payload(300, 0x77);
-  const auto enc = encode_tb(payload, Modulation::kQpsk);
-  FronthaulPacket up;
-  up.header.direction = FhDirection::kUplink;
-  up.header.plane = FhPlane::kUser;
-  up.header.slot = SlotPoint::from_index(9, f.config.slots);
-  up.header.ru = RuId{1};
-  UPlaneSection section;
-  section.ue = UeId{1};
-  section.harq = HarqId{0};
-  section.new_data = true;
-  section.mcs = 0;
-  section.tb_bytes = 300;
-  section.codeword_bits = enc.codeword_bits;
-  section.iq = enc.iq;
-  section.shadow_payload = payload;
-  up.uplane.sections.push_back(std::move(section));
-  f.sim.at(Nanos(9) * 500_us + 200_us, [&f, up] {
-    f.link.send_from_b(make_fronthaul_frame(MacAddr{0xA1}, MacAddr{0xB1}, up));
-  });
+  f.deliver_ul(9, qpsk_section(payload));
 
   f.sim.run_until(10'000_us);
   ASSERT_EQ(f.capture.count(FapiMsgType::kCrcIndication), 1);
@@ -225,6 +240,50 @@ TEST(PhyProcess, GrantedButNoSignalIsCrcFailure) {
     }
   }
   EXPECT_EQ(f.phy->stats().ul_missing_sections, 1);
+}
+
+// Legal FAPI our L2 never produces: one UL_TTI request granting the same
+// (UE, HARQ) process twice. The decodes run in PDU order, so the second
+// (a retransmission) combines the soft bits the first one stored.
+TEST(PhyProcess, RepeatedHarqProcessInOneSlotChainsSoftBits) {
+  PhyFixture f;
+  f.configure_and_start();
+  f.feed_null(1, 40);
+  UlTtiRequest ul;
+  ul.pdus.push_back(TtiPdu{UeId{1}, 0, 300, HarqId{0}, true});
+  ul.pdus.push_back(TtiPdu{UeId{1}, 0, 300, HarqId{0}, false});
+  f.phy->on_fapi(FapiMessage{RuId{1}, 9, std::move(ul)});
+
+  // One section, far below the QPSK decoding threshold (-6 dB).
+  auto section = qpsk_section(std::vector<std::uint8_t>(300, 0x5A));
+  auto noise = RngRegistry{9}.stream("noise");
+  const double sigma = std::sqrt(std::pow(10.0, 6.0 / 10.0) / 2.0);
+  for (auto& s : section.iq) {
+    s += std::complex<float>(float(noise.gaussian(0.0, sigma)),
+                             float(noise.gaussian(0.0, sigma)));
+  }
+  f.deliver_ul(9, std::move(section));
+
+  f.sim.run_until(10'000_us);
+  ASSERT_EQ(f.capture.count(FapiMsgType::kCrcIndication), 1);
+  for (const auto& msg : f.capture.messages) {
+    if (msg.type() == FapiMsgType::kCrcIndication) {
+      const auto& crc = std::get<CrcIndication>(msg.body);
+      ASSERT_EQ(crc.entries.size(), 2U);
+      for (const auto& entry : crc.entries) {
+        EXPECT_EQ(entry.ue, UeId{1});
+        EXPECT_EQ(entry.harq, HarqId{0});
+        EXPECT_FALSE(entry.ok);
+      }
+    }
+  }
+  EXPECT_EQ(f.capture.count(FapiMsgType::kRxDataIndication), 0);
+  const auto& stats = f.phy->stats();
+  EXPECT_EQ(stats.ul_tbs_decoded, 2);
+  EXPECT_EQ(stats.ul_crc_fail, 2);
+  // Only the second decode had a prior: the first PDU's new_data
+  // cleared the process, then its failed decode stored its LLRs.
+  EXPECT_EQ(stats.harq_combines, 1);
 }
 
 TEST(PhyProcess, LateFapiDroppedWithErrorIndication) {
