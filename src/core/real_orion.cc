@@ -3,47 +3,33 @@
 #include "common/log.h"
 
 namespace slingshot {
+namespace {
 
-const char* episode_event_name(EpisodeEventKind kind) {
-  switch (kind) {
-    case EpisodeEventKind::kDetected:
-      return "detected";
-    case EpisodeEventKind::kFailoverInitiated:
-      return "failover_initiated";
-    case EpisodeEventKind::kSwapFinalized:
-      return "swap_finalized";
-    case EpisodeEventKind::kStandbyAdopted:
-      return "standby_adopted";
+OrionL2Config core_config(const WallclockPacer::Config& pacer) {
+  OrionL2Config config;
+  if (pacer.tti_ns > 0) {
+    config.slots.slot_duration = pacer.tti_ns;
   }
-  return "?";
+  return config;
 }
+
+}  // namespace
 
 RealOrionRelay::RealOrionRelay(RealOrionConfig config, UdpEndpoint* endpoint,
                                ShmRing l2_to_orion, ShmRing orion_to_l2,
                                std::vector<ShmRing> orion_to_phy,
                                std::vector<ShmRing> phy_to_orion)
-    : config_(std::move(config)),
+    : OrionCore("real-orion", core_config(config.pacer)),
+      real_(std::move(config)),
       endpoint_(endpoint),
       l2_to_orion_(l2_to_orion),
       orion_to_l2_(orion_to_l2),
       orion_to_phy_(std::move(orion_to_phy)),
-      phy_to_orion_(std::move(phy_to_orion)) {}
-
-std::int64_t RealOrionRelay::wall_slot() const {
-  const auto& p = config_.pacer;
-  if (p.tti_ns <= 0) {
-    return 0;
-  }
-  return (WallclockPacer::now_ns() - p.epoch_ns) / p.tti_ns;
-}
-
-std::size_t RealOrionRelay::phy_index_for_port(std::uint16_t port) const {
-  for (std::size_t i = 0; i < config_.phy_ports.size(); ++i) {
-    if (config_.phy_ports[i] == port) {
-      return i;
-    }
-  }
-  return config_.phy_ports.size();
+      phy_to_orion_(std::move(phy_to_orion)),
+      watches_(real_.phy_ports.size()) {
+  set_ru_phys(real_.ru, PhyId{1}, PhyId{2});
+  // Like the switch detector at boot, cover the PHY that serves the RU.
+  send_watch_cmd(PhyId{1}, /*watch=*/true);
 }
 
 void RealOrionRelay::send_fapi(std::uint16_t port, const FapiMessage& msg) {
@@ -51,9 +37,27 @@ void RealOrionRelay::send_fapi(std::uint16_t port, const FapiMessage& msg) {
   endpoint_->send_to(port, wire_scratch_);
 }
 
-void RealOrionRelay::record(EpisodeEventKind kind, PhyId phy) {
-  ledger_.push_back(EpisodeEvent{kind, config_.ru, phy, wall_slot(),
-                                 WallclockPacer::now_ns()});
+void RealOrionRelay::send_to_phy(PhyId phy, const FapiMessage& msg) {
+  const std::size_t i = index_of(phy);
+  if (i < real_.phy_ports.size()) {
+    send_fapi(real_.phy_ports[i], msg);
+  }
+}
+
+void RealOrionRelay::send_to_l2(FapiMessage&& msg) {
+  send_fapi(real_.l2_port, msg);
+}
+
+void RealOrionRelay::send_watch_cmd(PhyId phy, bool watch) {
+  const std::size_t i = index_of(phy);
+  if (i < watches_.size()) {
+    watches_[i] = Watch{watch, false, 0};
+  }
+}
+
+void RealOrionRelay::heard(std::size_t phy_index) {
+  watches_[phy_index].heard = true;
+  watches_[phy_index].last_heard_ns = WallclockPacer::now_ns();
 }
 
 void RealOrionRelay::poll_once(int timeout_ms) {
@@ -76,134 +80,74 @@ void RealOrionRelay::handle_datagram(std::uint16_t from_port,
               unsigned(from_port), err == nullptr ? "?" : err);
     // Same contract as the simulated Orion: the L2 hears about
     // unparseable bytes instead of observing a silent gap.
-    send_fapi(config_.l2_port,
-              FapiMessage{config_.ru, 0,
-                          ErrorIndication{kFapiMsgCorrupt,
-                                          FapiMsgType::kErrorIndication}});
+    send_to_l2(FapiMessage{real_.ru, 0,
+                           ErrorIndication{kFapiMsgCorrupt,
+                                           FapiMsgType::kErrorIndication}});
     return;
   }
-  if (from_port == config_.l2_port) {
-    handle_l2_request(std::move(msg));
+  if (from_port == real_.l2_port) {
+    on_fapi(std::move(msg));
     return;
   }
-  const std::size_t phy = phy_index_for_port(from_port);
-  if (phy < config_.phy_ports.size()) {
-    handle_phy_indication(phy, std::move(msg));
+  for (std::size_t i = 0; i < real_.phy_ports.size(); ++i) {
+    if (real_.phy_ports[i] == from_port) {
+      heard(i);
+      on_phy_indication(PhyId{std::uint8_t(i + 1)}, std::move(msg));
+      return;
+    }
   }
   // Unknown senders are dropped: the transport is closed-world.
-}
-
-void RealOrionRelay::handle_l2_request(FapiMessage&& msg) {
-  const std::uint16_t active_port = config_.phy_ports[config_.active];
-  const std::uint16_t standby_port = config_.phy_ports[config_.standby];
-  switch (msg.type()) {
-    case FapiMsgType::kDlTtiRequest: {
-      send_fapi(active_port, msg);
-      ++stats_.requests_forwarded;
-      if (!failed_over_) {
-        send_fapi(standby_port, make_null_dl_tti(msg.ru, msg.slot));
-        ++stats_.nulls_sent;
-      }
-      break;
-    }
-    case FapiMsgType::kUlTtiRequest: {
-      send_fapi(active_port, msg);
-      ++stats_.requests_forwarded;
-      if (!failed_over_) {
-        send_fapi(standby_port, make_null_ul_tti(msg.ru, msg.slot));
-        ++stats_.nulls_sent;
-      }
-      break;
-    }
-    case FapiMsgType::kConfigRequest:
-    case FapiMsgType::kStartRequest:
-    case FapiMsgType::kStopRequest: {
-      // Lifecycle fans out to both PHYs — the standby stays initialized
-      // without an explicit replay in this fixed-pair mode (§6.3).
-      send_fapi(active_port, msg);
-      if (!failed_over_) {
-        send_fapi(standby_port, msg);
-      }
-      ++stats_.requests_forwarded;
-      break;
-    }
-    default: {
-      send_fapi(active_port, msg);
-      ++stats_.requests_forwarded;
-      break;
-    }
-  }
-}
-
-void RealOrionRelay::handle_phy_indication(std::size_t phy_index,
-                                           FapiMessage&& msg) {
-  if (phy_index == config_.active) {
-    active_heard_ = true;
-    last_active_heard_ns_ = WallclockPacer::now_ns();
-    send_fapi(config_.l2_port, msg);
-    ++stats_.indications_forwarded;
-    return;
-  }
-  // Standby chatter (slot indications for its null feed) never reaches
-  // the L2 — it must see exactly one PHY (§6.2).
-  ++stats_.standby_filtered;
 }
 
 void RealOrionRelay::drain_rings() {
   // L2 -> active PHY: TX_DATA payload records move ring-to-ring without
   // a parse — Orion treats SHM payloads as opaque, as the paper's
   // middlebox never touches IQ bytes.
+  const std::size_t active = index_of(active_phy(real_.ru));
   std::vector<std::uint8_t> record;
   while (l2_to_orion_.pop(record)) {
-    orion_to_phy_[config_.active].push(record);
-    ++stats_.ring_records_relayed;
+    orion_to_phy_[active].push(record);
   }
   for (std::size_t i = 0; i < phy_to_orion_.size(); ++i) {
     while (phy_to_orion_[i].pop(record)) {
-      if (i == config_.active) {
-        active_heard_ = true;
-        last_active_heard_ns_ = WallclockPacer::now_ns();
+      heard(i);
+      // Only the active PHY's records reach the L2 — it must see
+      // exactly one PHY (§6.2).
+      if (i == active) {
         orion_to_l2_.push(record);
-        ++stats_.ring_records_relayed;
-      } else {
-        ++stats_.standby_filtered;
       }
     }
   }
 }
 
 void RealOrionRelay::check_detector() {
-  if (failed_over_ || !active_heard_) {
+  const std::int64_t now_ns = WallclockPacer::now_ns();
+  if (now_ns > real_.detect_deadline_ns) {
     return;
   }
-  // Lifecycle chatter during the pre-epoch launch lead must not arm the
-  // countdown: everyone is deliberately idle until slot 0, and that
-  // idle stretch dwarfs any sane detect timeout. The detector runs only
-  // once the active PHY has spoken inside the paced window.
-  if (last_active_heard_ns_ < config_.pacer.epoch_ns) {
-    return;
+  for (std::size_t i = 0; i < watches_.size(); ++i) {
+    Watch& w = watches_[i];
+    // Lifecycle chatter during the pre-epoch launch lead must not arm
+    // the countdown: everyone is deliberately idle until slot 0, and
+    // that idle stretch dwarfs any sane detect timeout. A PHY counts
+    // only once it has spoken inside the paced window.
+    if (!w.watched || !w.heard || w.last_heard_ns < real_.pacer.epoch_ns) {
+      continue;
+    }
+    const std::int64_t silent_ns = now_ns - w.last_heard_ns;
+    if (silent_ns < real_.detect_timeout_ns) {
+      continue;
+    }
+    // Real socket silence exceeded the budget: the wall-clock analogue
+    // of the paper's in-switch detection (§5). Like the switch, one
+    // notification per silence: the PHY re-arms on its next word unless
+    // the core unwatches it.
+    w.heard = false;
+    SLOG_WARN("real-orion",
+              "ru=%u phy=%u declared dead after %ld ns of silence",
+              unsigned(real_.ru.value()), unsigned(i + 1), long(silent_ns));
+    on_failure_notification(PhyId{std::uint8_t(i + 1)});
   }
-  const std::int64_t now = WallclockPacer::now_ns();
-  if (now > config_.detect_deadline_ns) {
-    return;
-  }
-  const std::int64_t silent_ns = now - last_active_heard_ns_;
-  if (silent_ns < config_.detect_timeout_ns) {
-    return;
-  }
-  // Real socket silence exceeded the budget: the wall-clock analogue of
-  // the paper's in-switch detection (§5).
-  const PhyId dead = active_phy();
-  record(EpisodeEventKind::kDetected, dead);
-  record(EpisodeEventKind::kFailoverInitiated, dead);
-  std::swap(config_.active, config_.standby);
-  failed_over_ = true;
-  active_heard_ = false;  // re-arm on the new primary's first word
-  record(EpisodeEventKind::kSwapFinalized, active_phy());
-  SLOG_WARN("real-orion",
-            "failover ru=%u dead_phy=%u new_phy=%u after %ld ns of silence",
-            unsigned(config_.ru.value()), unsigned(dead.value()),
-            unsigned(active_phy().value()), long(silent_ns));
 }
 
 }  // namespace slingshot

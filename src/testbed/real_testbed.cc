@@ -236,6 +236,21 @@ Kv phy_role(const RealTestbedConfig& cfg, Net& net, std::size_t index,
   return kv;
 }
 
+// The core's counters, exported by the Orion role under their own names.
+#define SLS_STAT(field) std::pair{#field, &OrionL2Stats::field}
+constexpr std::pair<const char*, std::uint64_t OrionL2Stats::*> kStatsKv[] = {
+    SLS_STAT(real_requests_forwarded), SLS_STAT(null_requests_sent),
+    SLS_STAT(responses_forwarded), SLS_STAT(standby_responses_dropped),
+    SLS_STAT(drained_responses_accepted), SLS_STAT(failure_notifications),
+    SLS_STAT(failovers_initiated), SLS_STAT(duplicate_notifications_ignored),
+    SLS_STAT(stale_notifications_ignored), SLS_STAT(drain_windows_expired),
+    SLS_STAT(rehabilitations), SLS_STAT(fapi_bytes_to_standby),
+    SLS_STAT(parse_errors), SLS_STAT(unprotected_notifications),
+    SLS_STAT(standby_failures), SLS_STAT(standbys_reassigned),
+    SLS_STAT(deferred_failovers_executed),
+};
+#undef SLS_STAT
+
 // ---- Orion role -------------------------------------------------------
 Kv orion_role(const RealTestbedConfig& cfg, Net& net, std::int64_t epoch) {
   RealOrionConfig oc;
@@ -244,8 +259,6 @@ Kv orion_role(const RealTestbedConfig& cfg, Net& net, std::int64_t epoch) {
   for (const auto& ep : net.phys) {
     oc.phy_ports.push_back(ep.port());
   }
-  oc.active = 0;
-  oc.standby = 1;
   oc.detect_timeout_ns = cfg.detect_timeout_ns;
   oc.detect_deadline_ns =
       epoch + (cfg.run_slots - kDetectorDisarmSlots) * cfg.tti_ns;
@@ -259,14 +272,9 @@ Kv orion_role(const RealTestbedConfig& cfg, Net& net, std::int64_t epoch) {
   }
 
   Kv kv;
-  const auto& stats = relay.stats();
-  put(kv, "requests_forwarded", std::int64_t(stats.requests_forwarded));
-  put(kv, "nulls_sent", std::int64_t(stats.nulls_sent));
-  put(kv, "indications_forwarded",
-      std::int64_t(stats.indications_forwarded));
-  put(kv, "standby_filtered", std::int64_t(stats.standby_filtered));
-  put(kv, "ring_records_relayed", std::int64_t(stats.ring_records_relayed));
-  put(kv, "parse_errors", std::int64_t(stats.parse_errors));
+  for (const auto& [key, field] : kStatsKv) {
+    put(kv, key, std::int64_t(relay.stats().*field));
+  }
   for (const auto& e : relay.ledger()) {
     std::ostringstream enc;
     enc << int(e.kind) << ':' << unsigned(e.ru.value()) << ':'
@@ -469,7 +477,9 @@ RealRunResult RealTestbed::run() {
   result.max_ind_gap_ns = get_i64(l2_kv, "max_gap_ns", 0);
   result.last_crc_slot = get_i64(l2_kv, "last_crc_slot", -1);
   result.pacer_overruns = std::uint64_t(get_i64(l2_kv, "overruns", 0));
-  result.parse_errors = std::uint64_t(get_i64(orion_kv, "parse_errors", 0));
+  for (const auto& [key, field] : kStatsKv) {
+    result.orion.*field = std::uint64_t(get_i64(orion_kv, key, 0));
+  }
   result.ledger = decode_ledger(orion_kv);
   // "Restored" means the CRC stream reached the end of the pacing
   // window — the stack was serving again, not merely detected-and-
@@ -479,7 +489,7 @@ RealRunResult RealTestbed::run() {
     result.outage_ns = result.max_ind_gap_ns;
     for (const auto& e : result.ledger) {
       if (e.kind == EpisodeEventKind::kDetected) {
-        result.detection_ns = e.wall_ns - result.kill_wall_ns;
+        result.detection_ns = epoch + e.wall_ns - result.kill_wall_ns;
         break;
       }
     }
@@ -489,46 +499,19 @@ RealRunResult RealTestbed::run() {
 }
 
 std::vector<EpisodeEvent> run_sim_fault_plan(const FaultPlan& plan) {
-  struct LedgerTap final : OrionL2Tap {
-    std::vector<EpisodeEvent> ledger;
-    void on_migration(const MigrationEvent& event) override {
-      if (event.kind != MigrationEvent::Kind::kFailover) {
-        return;
-      }
-      ledger.push_back(EpisodeEvent{EpisodeEventKind::kDetected, event.ru,
-                                    event.from, 0, event.notification_at});
-      ledger.push_back(EpisodeEvent{EpisodeEventKind::kFailoverInitiated,
-                                    event.ru, event.from, 0,
-                                    event.initiated_at});
-    }
-    void on_swap_finalized(RuId ru, std::int64_t slot, PhyId new_primary,
-                           std::int64_t /*boundary_slot*/) override {
-      ledger.push_back(EpisodeEvent{EpisodeEventKind::kSwapFinalized, ru,
-                                    new_primary, slot, 0});
-    }
-    void on_adopt(RuId ru, PhyId phy) override {
-      ledger.push_back(
-          EpisodeEvent{EpisodeEventKind::kStandbyAdopted, ru, phy, 0, 0});
-    }
-  };
-
   TestbedConfig cfg;
   cfg.seed = 7;
   cfg.num_ues = 1;
   Testbed tb{cfg};
-  LedgerTap tap;
-  tb.orion().set_tap(&tap);
+  const EpisodeRecorder recorder{tb.orion()};
   tb.start();
   tb.run_for(50_ms);  // settle window before measuring, as everywhere
   if (plan.kill_slot >= 0) {
     tb.run_for(Nanos(plan.kill_slot) * tb.config().slots.slot_duration);
     tb.kill_phy(Testbed::kPhyA);
-    tb.run_for(100_ms);
-  } else {
-    tb.run_for(100_ms);
   }
-  tb.orion().set_tap(nullptr);
-  return tap.ledger;
+  tb.run_for(100_ms);
+  return recorder.ledger();
 }
 
 bool ledgers_conform(const std::vector<EpisodeEvent>& lhs,

@@ -20,8 +20,11 @@
 //
 // Conformance contract: for the same FaultPlan, the real run's episode
 // ledger (kind, ru, phy sequence) must equal the simulator's — see
-// run_sim_fault_plan()/ledgers_conform(). That is what licenses using
-// the simulator's failover numbers as predictions for the real mode.
+// run_sim_fault_plan()/ledgers_conform(). Both modes drive the same
+// OrionCore and record with the same EpisodeRecorder, so a divergence
+// is a transport or detector difference, never a second implementation.
+// That is what licenses using the simulator's failover numbers as
+// predictions for the real mode.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +65,10 @@ struct RealRunResult {
   std::uint64_t l2_crcs = 0;
   std::uint64_t l2_rx_records = 0;  // RX_DATA records off the SHM ring
   std::uint64_t l2_error_inds = 0;
-  std::uint64_t parse_errors = 0;   // relay-side try_parse failures
   std::uint64_t pacer_overruns = 0;
   std::int64_t last_crc_slot = -1;
+  OrionL2Stats orion;  // the relay's decision-core counters
+  // Times are wall ns since the pacing epoch (the core's clock).
   std::vector<EpisodeEvent> ledger;
   std::string error;  // non-empty iff a launch/collection step failed
 };
@@ -81,9 +85,10 @@ class RealTestbed {
   RealTestbedConfig config_;
 };
 
-// Run the same fault plan through the simulator testbed and extract its
-// episode ledger via OrionL2Tap (sim timestamps are virtual; only the
-// (kind, ru, phy) sequence is meaningful for conformance).
+// Run the same fault plan through the simulator testbed and record its
+// episode ledger with the same EpisodeRecorder the real relay uses (sim
+// timestamps are virtual; only the (kind, ru, phy) sequence is
+// meaningful for conformance).
 [[nodiscard]] std::vector<EpisodeEvent> run_sim_fault_plan(
     const FaultPlan& plan);
 

@@ -455,7 +455,7 @@ void Testbed::wire_slingshot() {
     }
     // Pool members first, so every set_ru_primary finds a standby.
     for (int p = num_cells; p < num_phys_; ++p) {
-      orion_l2_->add_pool_standby(phy_id(p), MacAddr{orion_mac_for(p)});
+      orion_l2_->add_pool_standby(phy_id(p));
     }
     for (int c = 0; c < num_cells; ++c) {
       orion_l2_->set_ru_primary(ru_id(c), phy_id(primary_phy_index(c)));
@@ -669,8 +669,7 @@ void Testbed::revive_phy_as_standby(PhyId phy) {
   dead->restart();
   // Init replay covers every RU this PHY backs — a standby shared by
   // several cells must come back warm for all of them.
-  orion_l2_->adopt_standby_all(phy,
-                               MacAddr{orion_mac_for(int(phy.value()) - 1)});
+  orion_l2_->adopt_standby_all(phy);
   // Re-arm the failure detector once the revived PHY's heartbeats flow.
   sim_.after(5_ms, [this, phy] {
     mbox_->watch_phy(phy, MacAddr{kOrionL2Mac});

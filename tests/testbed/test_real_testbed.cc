@@ -36,6 +36,10 @@ void expect_failover_ledger(const RealRunResult& result) {
   for (const auto& e : result.ledger) {
     EXPECT_EQ(e.ru, RuId{1});
   }
+  // The relay's silence detector raised exactly one notification and
+  // the core executed it as one failover.
+  EXPECT_EQ(result.orion.failovers_initiated, 1U);
+  EXPECT_TRUE(result.orion.notification_identity_holds());
 }
 
 TEST(RealTestbed, InprocNoFaultRunsClean) {
@@ -48,7 +52,11 @@ TEST(RealTestbed, InprocNoFaultRunsClean) {
   // UL_TTI -> CRC round trip (allow slack for scheduler jitter).
   EXPECT_GE(result.l2_crcs, std::uint64_t(cfg.run_slots) * 8 / 10);
   EXPECT_GT(result.l2_rx_records, 0U);  // RX_DATA flowed over SHM
-  EXPECT_EQ(result.parse_errors, 0U);
+  EXPECT_EQ(result.orion.parse_errors, 0U);
+  // Hot standby: every real request has a null twin for the standby.
+  EXPECT_GT(result.orion.real_requests_forwarded, 0U);
+  EXPECT_GT(result.orion.null_requests_sent, 0U);
+  EXPECT_TRUE(result.orion.notification_identity_holds());
   EXPECT_EQ(result.detection_ns, -1);
   EXPECT_EQ(result.outage_ns, -1);
 }
