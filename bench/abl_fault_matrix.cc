@@ -122,7 +122,7 @@ Outcome run_cell(const Mix& mix, std::uint64_t seed) {
   out.rehabs = tb.orion().stats().rehabilitations;
   out.violations = chk.violation_count();
   out.slots = chk.slots_checked();
-  out.survived = tb.phy_a().alive() && tb.phy_b().alive() &&
+  out.survived = tb.phy(0).alive() && tb.phy(1).alive() &&
                  tb.ue(0).connected();
   if (!chk.ok()) {
     std::printf("%s\n", chk.report().c_str());

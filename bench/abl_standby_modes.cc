@@ -37,8 +37,8 @@ int main() {
     dl.start();
     tb.run_until(3'100_ms);
 
-    const double primary = tb.phy_a().stats().work_units;
-    const double standby = tb.phy_b().stats().work_units;
+    const double primary = tb.phy(0).stats().work_units;
+    const double standby = tb.phy(1).stats().work_units;
     std::printf(
         "\n%-12s standby compute: %8.0f work units (%.1f%% of primary); "
         "standby responses filtered: %llu\n",

@@ -69,7 +69,7 @@ double wall_seconds_since(
 
 std::int64_t total_decodes(Testbed& tb, int num_ues) {
   std::int64_t decodes =
-      tb.phy_a().stats().ul_tbs_decoded + tb.phy_b().stats().ul_tbs_decoded;
+      tb.phy(0).stats().ul_tbs_decoded + tb.phy(1).stats().ul_tbs_decoded;
   for (int i = 0; i < num_ues; ++i) {
     decodes += tb.ue(i).stats().dl_tbs_ok + tb.ue(i).stats().dl_tbs_failed;
   }

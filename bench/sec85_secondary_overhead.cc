@@ -34,8 +34,8 @@ int main() {
   tb.run_until(5'100_ms);
   const double seconds = to_seconds(tb.sim().now() - measure_start);
 
-  const auto& primary = tb.phy_a().stats();
-  const auto& standby = tb.phy_b().stats();
+  const auto& primary = tb.phy(0).stats();
+  const auto& standby = tb.phy(1).stats();
 
   std::printf("\nmeasured over %.1f s with live UL+DL traffic:\n\n", seconds);
   print_row({"", "primary PHY", "standby PHY"}, 22);

@@ -22,7 +22,7 @@ Nanos measure_max_gap(bool busy) {
   Testbed tb{cfg};
 
   GapTracker gaps;
-  const MacAddr phy_a_mac = tb.phy_a().mac();
+  const MacAddr phy_a_mac = tb.phy(0).mac();
   tb.fabric().set_ingress_tap(
       [&gaps, phy_a_mac](const Packet& p, int, Nanos now) {
         if (p.eth.ethertype == EtherType::kEcpri && p.eth.src == phy_a_mac) {

@@ -33,8 +33,8 @@ int main() {
 
   std::printf("old PHY build: %d FEC iterations; upgrading at t=4.0 s to "
               "%d iterations\n\n",
-              testbed.phy_a().ldpc_max_iters(),
-              testbed.phy_b().ldpc_max_iters());
+              testbed.phy(0).ldpc_max_iters(),
+              testbed.phy(1).ldpc_max_iters());
   testbed.sim().at(4'000_ms, [&testbed] { testbed.planned_migration(); });
 
   std::printf("%8s %18s\n", "t (s)", "UL goodput (Mbps)");
@@ -51,8 +51,8 @@ int main() {
     window_start_bytes = total;
   }
 
-  const auto& old_phy = testbed.phy_a().stats();
-  const auto& new_phy = testbed.phy_b().stats();
+  const auto& old_phy = testbed.phy(0).stats();
+  const auto& new_phy = testbed.phy(1).stats();
   auto rate = [](const PhyStats& s) {
     return s.ul_tbs_decoded > 0
                ? double(s.ul_crc_ok) / double(s.ul_tbs_decoded)

@@ -54,7 +54,7 @@ int main() {
   report("after failover:");
   std::printf("  RU1 dropped TTIs: %lld   RU2 dropped TTIs: %lld\n",
               static_cast<long long>(testbed.ru().stats().dropped_ttis),
-              static_cast<long long>(testbed.ru2().stats().dropped_ttis));
+              static_cast<long long>(testbed.ru_at(1).stats().dropped_ttis));
   std::printf(
       "\nPHY-B now serves both RUs; RU2 experienced zero disruption.\n"
       "An operator would now restart PHY-A and re-adopt it as the\n"
@@ -66,7 +66,7 @@ int main() {
       testbed.mbox().active_phy(Testbed::kRu) == Testbed::kPhyB &&
       testbed.mbox().active_phy(Testbed::kRu2) == Testbed::kPhyB &&
       testbed.ue(0).connected() && testbed.ue(1).connected() &&
-      testbed.ru2().stats().dropped_ttis == 0;
+      testbed.ru_at(1).stats().dropped_ttis == 0;
   if (!ok) {
     std::printf("\nUNEXPECTED END STATE — see report above\n");
   }

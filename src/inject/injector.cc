@@ -10,28 +10,21 @@ namespace slingshot {
 FaultInjector::FaultInjector(Testbed& testbed) : tb_(testbed) {
   // PHY uplinks: hang windows silence all tx; fronthaul budgets eat
   // eCPRI frames.
-  tb_.phy_a_nic().set_tx_interceptor([this](Packet& p) {
-    if (tb_.sim().now() < hang_a_until_) {
-      return false;
-    }
-    if (drop_fronthaul_phy_a_ > 0 && p.eth.ethertype == EtherType::kEcpri) {
-      --drop_fronthaul_phy_a_;
-      ++fronthaul_dropped_;
-      return false;
-    }
-    return true;
-  });
-  tb_.phy_b_nic().set_tx_interceptor([this](Packet& p) {
-    if (tb_.sim().now() < hang_b_until_) {
-      return false;
-    }
-    if (drop_fronthaul_phy_b_ > 0 && p.eth.ethertype == EtherType::kEcpri) {
-      --drop_fronthaul_phy_b_;
-      ++fronthaul_dropped_;
-      return false;
-    }
-    return true;
-  });
+  for (int i = 0; i < 2; ++i) {
+    const Nanos& hang_until = i == 0 ? hang_a_until_ : hang_b_until_;
+    int& drops = i == 0 ? drop_fronthaul_phy_a_ : drop_fronthaul_phy_b_;
+    tb_.phy_nic(i).set_tx_interceptor([this, &hang_until, &drops](Packet& p) {
+      if (tb_.sim().now() < hang_until) {
+        return false;
+      }
+      if (drops > 0 && p.eth.ethertype == EtherType::kEcpri) {
+        --drops;
+        ++fronthaul_dropped_;
+        return false;
+      }
+      return true;
+    });
+  }
   tb_.ru_nic().set_tx_interceptor([this](Packet& p) {
     if (drop_fronthaul_ru_ > 0 && p.eth.ethertype == EtherType::kEcpri) {
       --drop_fronthaul_ru_;
@@ -65,12 +58,14 @@ FaultInjector::FaultInjector(Testbed& testbed) : tb_(testbed) {
     }
     return true;
   };
-  tb_.orion_a_nic().set_rx_interceptor([this, fapi_rx](Packet& p) {
-    return fapi_rx(p, drop_fapi_a_, corrupt_fapi_a_);
-  });
-  tb_.orion_b_nic().set_rx_interceptor([this, fapi_rx](Packet& p) {
-    return fapi_rx(p, drop_fapi_b_, corrupt_fapi_b_);
-  });
+  for (int i = 0; i < 2; ++i) {
+    int& drops = i == 0 ? drop_fapi_a_ : drop_fapi_b_;
+    int& corrupts = i == 0 ? corrupt_fapi_a_ : corrupt_fapi_b_;
+    tb_.orion_phy_nic(i).set_rx_interceptor(
+        [fapi_rx, &drops, &corrupts](Packet& p) {
+          return fapi_rx(p, drops, corrupts);
+        });
+  }
 
   // L2 Orion egress: lose migrate_on_slot commands.
   tb_.orion_l2_nic().set_tx_interceptor([this](Packet& p) {
@@ -130,11 +125,11 @@ FaultInjector::~FaultInjector() {
   for (auto& h : scheduled_) {
     h.cancel();
   }
-  tb_.phy_a_nic().set_tx_interceptor({});
-  tb_.phy_b_nic().set_tx_interceptor({});
+  for (int i = 0; i < 2; ++i) {
+    tb_.phy_nic(i).set_tx_interceptor({});
+    tb_.orion_phy_nic(i).set_rx_interceptor({});
+  }
   tb_.ru_nic().set_tx_interceptor({});
-  tb_.orion_a_nic().set_rx_interceptor({});
-  tb_.orion_b_nic().set_rx_interceptor({});
   tb_.orion_l2_nic().set_tx_interceptor({});
   tb_.orion_l2_nic().set_rx_interceptor({});
 }
@@ -142,13 +137,13 @@ FaultInjector::~FaultInjector() {
 Nic* FaultInjector::site_nic(FaultSite site) {
   switch (site) {
     case FaultSite::kPhyA:
-      return &tb_.phy_a_nic();
+      return &tb_.phy_nic(0);
     case FaultSite::kPhyB:
-      return &tb_.phy_b_nic();
+      return &tb_.phy_nic(1);
     case FaultSite::kOrionA:
-      return &tb_.orion_a_nic();
+      return &tb_.orion_phy_nic(0);
     case FaultSite::kOrionB:
-      return &tb_.orion_b_nic();
+      return &tb_.orion_phy_nic(1);
     case FaultSite::kOrionL2:
       return &tb_.orion_l2_nic();
     case FaultSite::kRu:
@@ -187,9 +182,9 @@ void FaultInjector::apply(const FaultEvent& event) {
       if (event.phy != PhyId{}) {
         tb_.kill_phy(event.phy);
       } else if (event.site == FaultSite::kPhyA) {
-        tb_.phy_a().kill();
+        tb_.phy(0).kill();
       } else if (event.site == FaultSite::kPhyB) {
-        tb_.phy_b().kill();
+        tb_.phy(1).kill();
       }
       break;
     case FaultKind::kHangPhy: {
@@ -250,7 +245,7 @@ void FaultInjector::apply(const FaultEvent& event) {
       delay_ind_by_ = event.duration;
       Nic* nic = site_nic(event.site);
       delay_ind_src_ = nic != nullptr ? nic->mac()
-                                      : tb_.orion_a_nic().mac();
+                                      : tb_.orion_phy_nic(0).mac();
       break;
     }
     case FaultKind::kDownLink: {

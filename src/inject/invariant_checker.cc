@@ -13,13 +13,13 @@ InvariantChecker::InvariantChecker(Testbed& testbed,
   if (tb_.config().mode == TestbedMode::kSlingshot) {
     tb_.orion().set_tap(this);
   }
-  if (tb_.pipe_to_phy_a() != nullptr) {
-    tb_.pipe_to_phy_a()->set_tap([this](const FapiMessage& m) {
+  if (tb_.pipe_to_phy(0) != nullptr) {
+    tb_.pipe_to_phy(0)->set_tap([this](const FapiMessage& m) {
       on_fapi_to_phy(Testbed::kPhyA, m);
     });
   }
-  if (tb_.pipe_to_phy_b() != nullptr) {
-    tb_.pipe_to_phy_b()->set_tap([this](const FapiMessage& m) {
+  if (tb_.pipe_to_phy(1) != nullptr) {
+    tb_.pipe_to_phy(1)->set_tap([this](const FapiMessage& m) {
       on_fapi_to_phy(Testbed::kPhyB, m);
     });
   }
@@ -33,11 +33,11 @@ InvariantChecker::~InvariantChecker() {
   if (tb_.config().mode == TestbedMode::kSlingshot) {
     tb_.orion().set_tap(nullptr);
   }
-  if (tb_.pipe_to_phy_a() != nullptr) {
-    tb_.pipe_to_phy_a()->set_tap({});
+  if (tb_.pipe_to_phy(0) != nullptr) {
+    tb_.pipe_to_phy(0)->set_tap({});
   }
-  if (tb_.pipe_to_phy_b() != nullptr) {
-    tb_.pipe_to_phy_b()->set_tap({});
+  if (tb_.pipe_to_phy(1) != nullptr) {
+    tb_.pipe_to_phy(1)->set_tap({});
   }
 }
 
@@ -139,8 +139,8 @@ void InvariantChecker::on_slot_tick() {
       }
     }
   };
-  sample(Testbed::kPhyA, tb_.phy_a().alive());
-  sample(Testbed::kPhyB, tb_.phy_b().alive());
+  sample(Testbed::kPhyA, tb_.phy(0).alive());
+  sample(Testbed::kPhyB, tb_.phy(1).alive());
 
   // Finalize I1 for slots old enough that all their requests (including
   // compensation nulls) must have been delivered.

@@ -195,8 +195,6 @@ class Testbed {
   }
   // PHY by logical id; nullptr if out of range.
   [[nodiscard]] PhyProcess* phy_by_id(PhyId id);
-  [[nodiscard]] PhyProcess& phy_a() { return *phys_.at(0); }
-  [[nodiscard]] PhyProcess& phy_b() { return *phys_.at(1); }
   [[nodiscard]] L2Process& l2() { return *l2_; }
   [[nodiscard]] L2Process& l2_backup() { return *l2b_; }
   [[nodiscard]] OrionL2Side& orion() { return *orion_l2_; }
@@ -206,13 +204,8 @@ class Testbed {
     return *rus_.at(std::size_t(cell));
   }
   [[nodiscard]] RadioUnit& ru() { return *rus_.at(0); }
-  [[nodiscard]] RadioUnit& ru2() { return *rus_.at(1); }
   // UE by global index (cells in order; within a cell, attach order).
   [[nodiscard]] UserEquipment& ue(int i) { return *ues_.at(std::size_t(i)); }
-  // Cell index serving UE i.
-  [[nodiscard]] int ue_cell(int i) const {
-    return ue_cell_.at(std::size_t(i));
-  }
   // Cell c's massive-UE batch; nullptr when the cell has none.
   [[nodiscard]] UeBatch* batch_at(int cell) {
     return batches_.at(std::size_t(cell)).get();
@@ -261,32 +254,23 @@ class Testbed {
   // NIC handles for installing packet interceptors. Valid after
   // construction in every mode.
   [[nodiscard]] Nic& ru_nic() { return *ru_nics_.at(0); }
-  [[nodiscard]] Nic& ru_nic_at(int cell) {
-    return *ru_nics_.at(std::size_t(cell));
-  }
   [[nodiscard]] Nic& phy_nic(int index) {
     return *phy_nics_.at(std::size_t(index));
   }
-  [[nodiscard]] Nic& phy_a_nic() { return *phy_nics_.at(0); }
-  [[nodiscard]] Nic& phy_b_nic() { return *phy_nics_.at(1); }
-  [[nodiscard]] Nic& orion_a_nic() { return *orion_phy_nics_.at(0); }
-  [[nodiscard]] Nic& orion_b_nic() { return *orion_phy_nics_.at(1); }
+  [[nodiscard]] Nic& orion_phy_nic(int index) {
+    return *orion_phy_nics_.at(std::size_t(index));
+  }
   [[nodiscard]] Nic& orion_l2_nic() { return *orion_l2_nic_; }
   // PHY-side Orions (kSlingshot mode only).
   [[nodiscard]] OrionPhySide& orion_phy(int index) {
     return *orion_phys_.at(std::size_t(index));
   }
-  [[nodiscard]] OrionPhySide& orion_a() { return *orion_phys_.at(0); }
-  [[nodiscard]] OrionPhySide& orion_b() { return *orion_phys_.at(1); }
-  // FAPI pipes feeding the PHYs / the L2; null in modes without them.
+  // FAPI pipe feeding PHY `index`; null in modes without one.
   [[nodiscard]] ShmFapiPipe* pipe_to_phy(int index) {
     return index < int(to_phy_pipes_.size())
                ? to_phy_pipes_[std::size_t(index)].get()
                : nullptr;
   }
-  [[nodiscard]] ShmFapiPipe* pipe_to_phy_a() { return pipe_to_phy(0); }
-  [[nodiscard]] ShmFapiPipe* pipe_to_phy_b() { return pipe_to_phy(1); }
-  [[nodiscard]] ShmFapiPipe* pipe_to_l2() { return mbx_to_l2_.get(); }
 
   // ---- Traffic endpoints ----
   // Server-side pipe (app server) and UE-side pipe for UE i.

@@ -191,8 +191,8 @@ TEST(FaultInjection, RandomizedSoakHoldsAllInvariants) {
   EXPECT_GT(chk.slots_checked(), 9'000);
   EXPECT_TRUE(chk.ok()) << chk.report();
   // Both PHYs ended the run alive (second revive restored the standby).
-  EXPECT_TRUE(tb.phy_a().alive());
-  EXPECT_TRUE(tb.phy_b().alive());
+  EXPECT_TRUE(tb.phy(0).alive());
+  EXPECT_TRUE(tb.phy(1).alive());
 }
 
 // Harness self-check: the same seed yields the same plan.

@@ -63,8 +63,8 @@ GoldenRun run_scenario(bool with_failover, obs::Observability* o = nullptr,
   if (o != nullptr) {
     o->finalize();
   }
-  const auto& a = tb.phy_a().stats();
-  const auto& b = tb.phy_b().stats();
+  const auto& a = tb.phy(0).stats();
+  const auto& b = tb.phy(1).stats();
   return GoldenRun{tb.sim().executed_events(),
                    tb.sim().trace_hash(),
                    a.ul_crc_ok,

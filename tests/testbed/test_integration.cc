@@ -22,17 +22,17 @@ TEST(TestbedIntegration, BringUpIsStable) {
   tb.start();
   tb.run_until(500_ms);
 
-  EXPECT_TRUE(tb.phy_a().alive());
-  EXPECT_TRUE(tb.phy_b().alive());
+  EXPECT_TRUE(tb.phy(0).alive());
+  EXPECT_TRUE(tb.phy(1).alive());
   EXPECT_TRUE(tb.ue(0).connected());
   EXPECT_EQ(tb.ue(0).stats().rlf_events, 0);
   EXPECT_EQ(tb.ue(0).stats().reattach_events, 0);
   // No false-positive failure detections.
   EXPECT_EQ(tb.mbox().stats().failures_detected, 0U);
   // The primary did real uplink work; the standby only nulls.
-  EXPECT_GT(tb.phy_a().stats().ul_tbs_decoded, 50);
-  EXPECT_EQ(tb.phy_b().stats().ul_tbs_decoded, 0);
-  EXPECT_GT(tb.phy_b().stats().null_slots, 500);
+  EXPECT_GT(tb.phy(0).stats().ul_tbs_decoded, 50);
+  EXPECT_EQ(tb.phy(1).stats().ul_tbs_decoded, 0);
+  EXPECT_GT(tb.phy(1).stats().null_slots, 500);
   // The standby's heartbeats were blocked from the RU.
   EXPECT_GT(tb.mbox().stats().dl_blocked, 100U);
   EXPECT_EQ(tb.ru().stats().conflicting_sources, 0);
@@ -50,7 +50,7 @@ TEST(TestbedIntegration, SnrFilterConvergesAndMcsAdapts) {
   // few dB around its mean), and the L2's link adaptation should see
   // the same value the PHY filter holds.
   const double instantaneous = tb.ue(0).channel().snr_db();
-  const double filtered = tb.phy_a().filtered_snr_db(Testbed::kRu, UeId{1});
+  const double filtered = tb.phy(0).filtered_snr_db(Testbed::kRu, UeId{1});
   EXPECT_NEAR(filtered, 24.0, 6.0);
   EXPECT_NEAR(filtered, instantaneous, 6.0);
   EXPECT_NEAR(tb.l2().reported_snr_db(UeId{1}), filtered, 0.5);
@@ -140,7 +140,7 @@ TEST(TestbedIntegration, FailoverKeepsUeAttached) {
   EXPECT_EQ(tb.ue(0).stats().reattach_events, 0);
 
   // The standby took over real work.
-  EXPECT_GT(tb.phy_b().stats().ul_tbs_decoded, 50);
+  EXPECT_GT(tb.phy(1).stats().ul_tbs_decoded, 50);
   // At most a few TTIs dropped (vs hundreds of ms for VM migration).
   EXPECT_LE(tb.ru().stats().dropped_ttis, 4);
 
@@ -167,12 +167,12 @@ TEST(TestbedIntegration, PlannedMigrationDropsNothing) {
   EXPECT_EQ(tb.ru().stats().dropped_ttis, 0);
   EXPECT_EQ(tb.ru().stats().conflicting_sources, 0);
   EXPECT_TRUE(tb.ue(0).connected());
-  EXPECT_GT(tb.phy_b().stats().ul_tbs_decoded, 50);
+  EXPECT_GT(tb.phy(1).stats().ul_tbs_decoded, 50);
   // Pipelined uplink from the old primary was drained, not wasted.
   EXPECT_GT(tb.orion().stats().drained_responses_accepted, 0U);
   // The old primary keeps running on null FAPI (hot standby for the
   // way back) without crashing.
-  EXPECT_TRUE(tb.phy_a().alive());
+  EXPECT_TRUE(tb.phy(0).alive());
 }
 
 TEST(TestbedIntegration, BaselineFailoverDisconnectsForSeconds) {
@@ -191,7 +191,7 @@ TEST(TestbedIntegration, BaselineFailoverDisconnectsForSeconds) {
   EXPECT_EQ(tb.ue(0).stats().reattach_events, 1);
   // The backup stack now serves the UE.
   EXPECT_TRUE(tb.l2_backup().has_ue(UeId{1}));
-  EXPECT_GT(tb.phy_b().stats().ul_tbs_decoded, 0);
+  EXPECT_GT(tb.phy(1).stats().ul_tbs_decoded, 0);
 }
 
 TEST(TestbedIntegration, CoupledModeCarriesTraffic) {
@@ -255,16 +255,16 @@ TEST(TestbedIntegration, ReviveDeadPhyEnablesSecondFailover) {
   // sequence and adopts it as the new standby.
   tb.revive_dead_phy_as_standby();
   tb.run_until(2'000_ms);
-  EXPECT_TRUE(tb.phy_a().alive());
-  EXPECT_GT(tb.phy_a().stats().null_slots, 100);  // hot again, on nulls
+  EXPECT_TRUE(tb.phy(0).alive());
+  EXPECT_GT(tb.phy(0).stats().null_slots, 100);  // hot again, on nulls
 
   // Second failover: B dies, back to the revived A.
-  tb.phy_b().kill();
+  tb.phy(1).kill();
   tb.run_until(3'500_ms);
   EXPECT_EQ(tb.orion().active_phy(Testbed::kRu), Testbed::kPhyA);
   EXPECT_TRUE(tb.ue(0).connected());
   EXPECT_EQ(tb.ue(0).stats().reattach_events, 0);
-  EXPECT_GT(tb.phy_a().stats().ul_tbs_decoded, 50);
+  EXPECT_GT(tb.phy(0).stats().ul_tbs_decoded, 50);
   // Traffic still flows at the end.
   double tail_bytes = 0;
   for (std::size_t b = 300; b < 350; ++b) {
@@ -284,8 +284,8 @@ TEST(TestbedIntegration, StandbyModeDuplicateDoesRealDlWork) {
   tb.run_until(100_ms);
   dl.start();
   tb.run_until(1'000_ms);
-  EXPECT_GT(tb.phy_b().stats().dl_tbs_encoded, 100);
-  EXPECT_GT(tb.phy_b().stats().work_units, 0.0);
+  EXPECT_GT(tb.phy(1).stats().dl_tbs_encoded, 100);
+  EXPECT_GT(tb.phy(1).stats().work_units, 0.0);
   // Its responses still never reach the L2.
   EXPECT_GT(tb.orion().stats().standby_responses_dropped, 0U);
 }
@@ -312,10 +312,10 @@ TEST(TestbedIntegration, TwoRusWithCrossAssignedPrimaries) {
   EXPECT_GT(flow2.packets_received(), 200U);
   EXPECT_EQ(tb.mbox().active_phy(Testbed::kRu), Testbed::kPhyA);
   EXPECT_EQ(tb.mbox().active_phy(Testbed::kRu2), Testbed::kPhyB);
-  EXPECT_GT(tb.phy_a().stats().ul_tbs_decoded, 50);
-  EXPECT_GT(tb.phy_b().stats().ul_tbs_decoded, 50);
-  EXPECT_GT(tb.phy_a().stats().null_slots, 500);  // standby role for RU2
-  EXPECT_GT(tb.phy_b().stats().null_slots, 500);  // standby role for RU1
+  EXPECT_GT(tb.phy(0).stats().ul_tbs_decoded, 50);
+  EXPECT_GT(tb.phy(1).stats().ul_tbs_decoded, 50);
+  EXPECT_GT(tb.phy(0).stats().null_slots, 500);  // standby role for RU2
+  EXPECT_GT(tb.phy(1).stats().null_slots, 500);  // standby role for RU1
 }
 
 TEST(TestbedIntegration, KillingOnePhyOnlyMigratesItsRus) {
@@ -343,7 +343,7 @@ TEST(TestbedIntegration, KillingOnePhyOnlyMigratesItsRus) {
   EXPECT_TRUE(tb.ue(1).connected());
   EXPECT_EQ(tb.ue(0).stats().reattach_events, 0);
   EXPECT_EQ(tb.ue(1).stats().reattach_events, 0);
-  EXPECT_EQ(tb.ru2().stats().dropped_ttis, 0);  // RU2: zero disruption
+  EXPECT_EQ(tb.ru_at(1).stats().dropped_ttis, 0);  // RU2: zero disruption
   EXPECT_GT(flow2.packets_received(), 600U);
 }
 
@@ -360,7 +360,7 @@ TEST(TestbedIntegration, IndependentPerRuPlannedMigration) {
   EXPECT_EQ(tb.mbox().active_phy(Testbed::kRu), Testbed::kPhyA);
   EXPECT_EQ(tb.mbox().active_phy(Testbed::kRu2), Testbed::kPhyA);
   EXPECT_EQ(tb.ru().stats().dropped_ttis, 0);
-  EXPECT_EQ(tb.ru2().stats().dropped_ttis, 0);
+  EXPECT_EQ(tb.ru_at(1).stats().dropped_ttis, 0);
 }
 
 TEST(TestbedIntegration, LossyFabricSurvivesViaNullInjection) {
@@ -376,8 +376,8 @@ TEST(TestbedIntegration, LossyFabricSurvivesViaNullInjection) {
   tb.run_until(3'000_ms);
   // Lost FAPI datagrams were compensated with injected nulls (§6.1);
   // neither PHY starved to death.
-  EXPECT_TRUE(tb.phy_a().alive());
-  EXPECT_TRUE(tb.phy_b().alive());
+  EXPECT_TRUE(tb.phy(0).alive());
+  EXPECT_TRUE(tb.phy(1).alive());
   EXPECT_TRUE(tb.ue(0).connected());
   EXPECT_GT(flow.packets_received(), 1500U);
 }
@@ -458,8 +458,8 @@ TEST(TestbedIntegration, L2DeathEventuallyStarvesThePhys) {
   tb.run_until(500_ms);
   tb.l2().kill();
   tb.run_until(1'000_ms);
-  EXPECT_FALSE(tb.phy_a().alive());
-  EXPECT_FALSE(tb.phy_b().alive());
+  EXPECT_FALSE(tb.phy(0).alive());
+  EXPECT_FALSE(tb.phy(1).alive());
 }
 
 TEST(TestbedIntegration, DeterministicAcrossRuns) {
@@ -467,8 +467,8 @@ TEST(TestbedIntegration, DeterministicAcrossRuns) {
     Testbed tb{base_config()};
     tb.start();
     tb.run_until(300_ms);
-    return std::tuple{tb.phy_a().stats().ul_crc_ok,
-                      tb.phy_a().stats().ul_crc_fail,
+    return std::tuple{tb.phy(0).stats().ul_crc_ok,
+                      tb.phy(0).stats().ul_crc_fail,
                       tb.fabric().frames_processed()};
   };
   EXPECT_EQ(run(), run());
