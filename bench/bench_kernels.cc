@@ -68,8 +68,8 @@ void BM_LdpcDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_LdpcDecode)->Arg(2)->Arg(8)->Arg(16)->Arg(32);
 
-// Shared noisy-channel LLR generator for the schedule/workspace
-// comparisons below.
+// Shared noisy-channel LLR generator for the workspace comparison
+// below.
 std::vector<float> noisy_llrs(const LdpcCode& code, std::uint64_t seed) {
   const auto cw = code.encode(random_bits(code.k(), seed));
   auto rng = RngRegistry{seed + 1}.stream("noise");
@@ -81,27 +81,6 @@ std::vector<float> noisy_llrs(const LdpcCode& code, std::uint64_t seed) {
   }
   return llrs;
 }
-
-// Flooding vs layered at an equal iteration budget: layered usually
-// early-exits in about half the iterations, which shows up directly as
-// wall time here.
-void BM_LdpcDecodeSchedule(benchmark::State& state) {
-  const auto& code = LdpcCode::standard();
-  const auto llrs = noisy_llrs(code, 12);
-  const auto schedule = LdpcSchedule(state.range(0));
-  const int iters = int(state.range(1));
-  LdpcCode::DecodeWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(code.decode_into(llrs, iters, ws, schedule));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LdpcDecodeSchedule)
-    ->ArgNames({"schedule", "iters"})
-    ->Args({int(LdpcSchedule::kFlooding), 8})
-    ->Args({int(LdpcSchedule::kLayered), 8})
-    ->Args({int(LdpcSchedule::kFlooding), 32})
-    ->Args({int(LdpcSchedule::kLayered), 32});
 
 // Workspace reuse vs the allocating wrapper: the same algorithm, with
 // and without per-decode heap traffic.
@@ -164,8 +143,7 @@ void BM_LdpcFloodingDecode(benchmark::State& state) {
   std::int64_t iterations = 0;
   for (auto _ : state) {
     const auto status =
-        code.decode_into(inputs[next], point.max_iterations, ws,
-                         LdpcSchedule::kFlooding, kernels);
+        code.decode_into(inputs[next], point.max_iterations, ws, kernels);
     iterations += status.iterations_used;
     next = (next + 1) % inputs.size();
   }
@@ -259,37 +237,6 @@ BENCHMARK(BM_FronthaulHeaderPeek);
 const char* simd_arg_name(std::int64_t level) {
   return simd::level_name(simd::Level(level));
 }
-
-// One flooding check-node sweep over a standard-code-sized message
-// slab: 324 checks, degree ~6, contiguous edges.
-void BM_SimdCnMinsum(benchmark::State& state) {
-  const auto& kernels = simd::kernels_for(simd::Level(state.range(0)));
-  const auto& code = LdpcCode::standard();
-  auto rng = RngRegistry{41}.stream("cn");
-  std::vector<float> q(std::size_t(code.num_edges()));
-  std::vector<float> r(q.size());
-  for (auto& v : q) {
-    v = float(rng.gaussian(0.0, 4.0));
-  }
-  // Mirror the decoder's per-check slab walk (degree from the code's
-  // average; the kernel handles any remainder at the slab end).
-  const int deg = code.num_edges() / code.num_checks();
-  for (auto _ : state) {
-    for (int base = 0; base + deg <= code.num_edges(); base += deg) {
-      kernels.cn_minsum(&q[std::size_t(base)], &r[std::size_t(base)], deg,
-                        0.8F);
-    }
-    benchmark::DoNotOptimize(r.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          std::int64_t(code.num_edges() / deg));
-  state.SetLabel(simd_arg_name(state.range(0)));
-}
-BENCHMARK(BM_SimdCnMinsum)
-    ->ArgNames({"level"})
-    ->Arg(int(simd::Level::kScalar))
-    ->Arg(int(simd::Level::kSse2))
-    ->Arg(int(simd::Level::kAvx2));
 
 // One flooding check-node sweep in the decoder's check-lane layout:
 // the standard code's checks in groups of 8, [position][lane], one
@@ -486,47 +433,13 @@ bool check(bool ok, const char* what) {
   return ok;
 }
 
-bool verify_cn_minsum_parity() {
-  auto rng = RngRegistry{1234}.stream("parity");
-  bool ok = true;
-  for (int trial = 0; trial < 2000; ++trial) {
-    const int deg = 1 + int(rng.next_u64() % 19);
-    std::vector<float> q(static_cast<std::size_t>(deg));
-    for (auto& v : q) {
-      switch (rng.next_u64() % 8) {
-        case 0: v = 0.0F; break;          // exact zero
-        case 1: v = -0.0F; break;         // negative zero
-        case 2:                            // force magnitude ties
-          v = (rng.next_u64() & 1U) ? 1.25F : -1.25F;
-          break;
-        default: v = float(rng.gaussian(0.0, 5.0)); break;
-      }
-    }
-    std::vector<float> want(q.size());
-    simd::kernels_for(simd::Level::kScalar)
-        .cn_minsum(q.data(), want.data(), deg, 0.8F);
-    for (const auto level : {simd::Level::kSse2, simd::Level::kAvx2}) {
-      if (!simd::level_supported(level)) {
-        continue;
-      }
-      std::vector<float> got(q.size(), -999.0F);
-      simd::kernels_for(level).cn_minsum(q.data(), got.data(), deg, 0.8F);
-      ok &= check(std::memcmp(want.data(), got.data(),
-                              want.size() * sizeof(float)) == 0,
-                  "cn_minsum bitwise mismatch vs scalar");
-    }
-  }
-  return ok;
-}
-
 // The check-lane kernel at every level (scalar included) against the
-// contiguous scalar kernel on each lane's padded column; lanes carry
+// per-check scalar reference on each lane's padded column; lanes carry
 // their own real degree, padded with kMinSumPad, so pad lanes and every
 // slab degree from 2 to 20 are covered.
 bool verify_cn_minsum_lanes_parity() {
   constexpr int kLanes = simd::kCheckLanes;
   auto rng = RngRegistry{4321}.stream("parity");
-  const auto& scalar = simd::kernels_for(simd::Level::kScalar);
   bool ok = true;
   for (int trial = 0; trial < 1000; ++trial) {
     const int deg = 2 + trial % 19;
@@ -550,7 +463,7 @@ bool verify_cn_minsum_lanes_parity() {
       for (int pos = 0; pos < deg; ++pos) {
         column[std::size_t(pos)] = q[std::size_t(pos * kLanes + lane)];
       }
-      scalar.cn_minsum(column.data(), out.data(), deg, 0.8F);
+      simd::cn_minsum_reference(column.data(), out.data(), deg, 0.8F);
       for (int pos = 0; pos < deg; ++pos) {
         want[std::size_t(pos * kLanes + lane)] = out[std::size_t(pos)];
       }
@@ -691,8 +604,7 @@ bool verify_bfp_parity() {
 }
 
 bool verify_kernel_parity() {
-  const bool ok = verify_cn_minsum_parity() &
-                  verify_cn_minsum_lanes_parity() & verify_demap_parity() &
+  const bool ok = verify_cn_minsum_lanes_parity() & verify_demap_parity() &
                   verify_crc_parity() & verify_bfp_parity();
   std::printf("kernel parity gate: %s (active simd level: %s)\n",
               ok ? "PASS" : "FAIL",

@@ -118,10 +118,9 @@ LdpcCode::LdpcCode(int n, int m, std::uint64_t seed, int wc)
   // edge's check (for the fused parity tracking) and lane-slab slot.
   check_edge_offset_.assign(std::size_t(m) + 1, 0);
   for (int c = 0; c < m; ++c) {
-    const int deg = int(check_vars[std::size_t(c)].size());
     check_edge_offset_[std::size_t(c) + 1] =
-        check_edge_offset_[std::size_t(c)] + deg;
-    max_check_degree_ = std::max(max_check_degree_, deg);
+        check_edge_offset_[std::size_t(c)] +
+        int(check_vars[std::size_t(c)].size());
   }
   num_edges_ = check_edge_offset_[std::size_t(m)];
   edge_var_.resize(std::size_t(num_edges_));
@@ -147,7 +146,7 @@ LdpcCode::LdpcCode(int n, int m, std::uint64_t seed, int wc)
     var_edges[v * std::size_t(wc) + std::size_t(cursor_of_var[v]++)] = e;
   }
 
-  // Check-lane slab for the flooding schedule (see ldpc.h): group g's
+  // Check-lane slab (see ldpc.h): group g's
   // slot for (position, lane) is offset + position * 8 + lane.
   constexpr int kLanes = simd::kCheckLanes;
   const int groups = (m + kLanes - 1) / kLanes;
@@ -314,23 +313,22 @@ bool LdpcCode::check_parity(std::span<const std::uint8_t> cw) const {
 
 LdpcCode::DecodeStatus LdpcCode::decode_into(std::span<const float> llr,
                                              int max_iterations,
-                                             DecodeWorkspace& ws,
-                                             LdpcSchedule schedule) const {
+                                             DecodeWorkspace& ws) const {
   // SIMD-dispatched check-node kernels; bit-exact against the scalar
   // reference at every level (see phy/simd.h), so decode outcomes —
   // and the golden trace that pins them — don't depend on the CPU.
-  return decode_into(llr, max_iterations, ws, schedule, simd::kernels());
+  return decode_into(llr, max_iterations, ws, simd::kernels());
 }
 
 LdpcCode::DecodeStatus LdpcCode::decode_into(
     std::span<const float> llr, int max_iterations, DecodeWorkspace& ws,
-    LdpcSchedule schedule, const simd::Kernels& kernels) const {
+    const simd::Kernels& kernels) const {
   if (int(llr.size()) != n_) {
     throw std::invalid_argument{"LdpcCode::decode: wrong LLR length"};
   }
-  // Both schedules start from the channel hard decisions and their
-  // exact syndrome; flip_bit() keeps the syndrome and the
-  // unsatisfied-check count exact from then on.
+  // Start from the channel hard decisions and their exact syndrome;
+  // flip_bit() keeps the syndrome and the unsatisfied-check count exact
+  // from then on.
   ws.codeword.resize(std::size_t(n_));
   for (int v = 0; v < n_; ++v) {
     ws.codeword[std::size_t(v)] = llr[std::size_t(v)] < 0.0F ? 1 : 0;
@@ -352,94 +350,47 @@ LdpcCode::DecodeStatus LdpcCode::decode_into(
     status.parity_ok = unsatisfied == 0;
     return status;
   }
-
-  if (schedule == LdpcSchedule::kFlooding) {
-    if (unsatisfied == 0) {
-      // Zero syndrome: iteration 1 provably returns these hard
-      // decisions (see ldpc.h), so report it without passing a message.
-      status.parity_ok = true;
-      status.iterations_used = 1;
-      return status;
-    }
-    // Channel LLRs into every real slot of the check-lane slab; pad
-    // slots hold kMinSumPad and the variable pass never writes them.
-    const auto slab = std::size_t(lane_group_offset_.back());
-    ws.var_to_check.resize(slab);
-    ws.check_to_var.resize(slab);
-    float* const q = ws.var_to_check.data();
-    float* const r = ws.check_to_var.data();
-    for (const int slot : pad_slots_) {
-      q[slot] = simd::kMinSumPad;
-    }
-    const int* slot = var_slot_.data();
-    for (const float channel : llr) {
-      for (int i = 0; i < wc_; ++i) {
-        q[*slot++] = channel;
-      }
-    }
-    const std::size_t groups = lane_group_offset_.size() - 1;
-
-    for (int iter = 1; iter <= max_iterations; ++iter) {
-      // Check-node update (normalized min-sum with exclusion), eight
-      // checks per call.
-      for (std::size_t g = 0; g < groups; ++g) {
-        const int base = lane_group_offset_[g];
-        const int deg = (lane_group_offset_[g + 1] - base) / simd::kCheckLanes;
-        kernels.cn_minsum_lanes(q + base, r + base, deg, kMinSumScale);
-      }
-
-      // Variable-node update; parity tracked on the fly as hard
-      // decisions flip.
-      (wc_ == 3 ? flooding_var_pass<3> : flooding_var_pass<0>)(
-          llr, wc_, var_slot_.data(), var_check_.data(), r, q,
-          ws.codeword.data(), ws.syndrome.data(), unsatisfied);
-
-      status.iterations_used = iter;
-      if (unsatisfied == 0) {
-        status.parity_ok = true;
-        return status;
-      }
-    }
+  if (unsatisfied == 0) {
+    // Zero syndrome: iteration 1 provably returns these hard
+    // decisions (see ldpc.h), so report it without passing a message.
+    status.parity_ok = true;
+    status.iterations_used = 1;
     return status;
   }
 
-  // --- Layered (serial-C) schedule: each check updates against the
-  // live posterior, so beliefs propagate within an iteration.
-  ws.posterior.assign(llr.begin(), llr.end());
-  ws.check_to_var.assign(std::size_t(num_edges_), 0.0F);
-  ws.layer_q.resize(std::size_t(max_check_degree_));
-  ws.layer_r.resize(std::size_t(max_check_degree_));
+  // Channel LLRs into every real slot of the check-lane slab; pad
+  // slots hold kMinSumPad and the variable pass never writes them.
+  const auto slab = std::size_t(lane_group_offset_.back());
+  ws.var_to_check.resize(slab);
+  ws.check_to_var.resize(slab);
+  float* const q = ws.var_to_check.data();
+  float* const r = ws.check_to_var.data();
+  for (const int slot : pad_slots_) {
+    q[slot] = simd::kMinSumPad;
+  }
+  const int* slot = var_slot_.data();
+  for (const float channel : llr) {
+    for (int i = 0; i < wc_; ++i) {
+      q[*slot++] = channel;
+    }
+  }
+  const std::size_t groups = lane_group_offset_.size() - 1;
 
   for (int iter = 1; iter <= max_iterations; ++iter) {
-    for (int c = 0; c < m_; ++c) {
-      const int base = check_edge_offset_[std::size_t(c)];
-      const int deg = check_edge_offset_[std::size_t(c) + 1] - base;
-      // Gather this check's inputs from the live posterior, run the
-      // min-sum kernel, then commit messages/posterior/bit flips.
-      for (int j = 0; j < deg; ++j) {
-        const int e = base + j;
-        ws.layer_q[std::size_t(j)] =
-            ws.posterior[std::size_t(edge_var_[std::size_t(e)])] -
-            ws.check_to_var[std::size_t(e)];
-      }
-      kernels.cn_minsum(ws.layer_q.data(), ws.layer_r.data(), deg,
-                        kMinSumScale);
-      for (int j = 0; j < deg; ++j) {
-        const int e = base + j;
-        const int v = edge_var_[std::size_t(e)];
-        const float q = ws.layer_q[std::size_t(j)];
-        const float r = ws.layer_r[std::size_t(j)];
-        ws.check_to_var[std::size_t(e)] = r;
-        const float post = q + r;
-        ws.posterior[std::size_t(v)] = post;
-        const std::uint8_t bit = post < 0.0F ? 1 : 0;
-        if (bit != ws.codeword[std::size_t(v)]) {
-          ws.codeword[std::size_t(v)] = bit;
-          flip_bit(v, wc_, var_check_.data(), ws.syndrome.data(),
-                   unsatisfied);
-        }
-      }
+    // Check-node update (normalized min-sum with exclusion), eight
+    // checks per call.
+    for (std::size_t g = 0; g < groups; ++g) {
+      const int base = lane_group_offset_[g];
+      const int deg = (lane_group_offset_[g + 1] - base) / simd::kCheckLanes;
+      kernels.cn_minsum_lanes(q + base, r + base, deg, kMinSumScale);
     }
+
+    // Variable-node update; parity tracked on the fly as hard
+    // decisions flip.
+    (wc_ == 3 ? flooding_var_pass<3> : flooding_var_pass<0>)(
+        llr, wc_, var_slot_.data(), var_check_.data(), r, q,
+        ws.codeword.data(), ws.syndrome.data(), unsatisfied);
+
     status.iterations_used = iter;
     if (unsatisfied == 0) {
       status.parity_ok = true;

@@ -8,15 +8,11 @@
 // decoding the signal", and with a real BP decoder iteration count
 // genuinely moves the decoding threshold.
 //
-// Two message-passing schedules are available:
-//  * kFlooding — all check nodes update, then all variable nodes. The
-//    codebase-wide default; its arithmetic is bit-identical across
-//    refactors, which the golden-trace determinism test relies on.
-//  * kLayered — serial-C: checks update one at a time against the live
-//    posterior, so information propagates within an iteration and the
-//    decoder converges in roughly half the iterations at equal FER.
+// The schedule is flooding: all check nodes update, then all variable
+// nodes. Its arithmetic is bit-identical across refactors, which the
+// golden-trace determinism test relies on.
 //
-// Flooding runs on a check-lane layout built at construction: checks
+// The decoder runs on a check-lane layout built at construction: checks
 // are grouped simd::kCheckLanes (8) at a time, and a group's messages
 // are stored [position][lane], so one cn_minsum_lanes call updates 8
 // checks with no horizontal merge. A group is as long as its largest
@@ -29,7 +25,7 @@
 //
 // Zero-syndrome exit: when the channel hard decisions (llr < 0, so
 // -0.0 is bit 0, as in the kernels and the variable pass) already
-// satisfy every check, flooding returns them as iteration 1 without
+// satisfy every check, the decoder returns them as iteration 1 without
 // passing a message. That is exactly what iteration 1 would produce:
 // with even parity in every check, each message's exclusion sign equals
 // the receiving variable's own sign, so every message reinforces the
@@ -53,8 +49,6 @@ namespace slingshot {
 namespace simd {
 struct Kernels;
 }  // namespace simd
-
-enum class LdpcSchedule : std::uint8_t { kFlooding = 0, kLayered = 1 };
 
 class LdpcCode {
  public:
@@ -90,13 +84,9 @@ class LdpcCode {
   // land in `codeword`.
   struct DecodeWorkspace {
     std::vector<std::uint8_t> codeword;   // n hard decisions (output)
-    // Per-edge messages: the check-lane slab for flooding, indexed by
-    // edge id for layered (which uses check_to_var only).
+    // Per-edge messages, in the check-lane slab layout.
     std::vector<float> var_to_check;
     std::vector<float> check_to_var;
-    std::vector<float> posterior;         // layered: live LLR accumulator
-    std::vector<float> layer_q;           // layered: one check's inputs
-    std::vector<float> layer_r;           // layered: one check's outputs
     std::vector<std::uint8_t> syndrome;   // per-check parity bit
   };
 
@@ -112,19 +102,16 @@ class LdpcCode {
   // channel hard decisions, parity_ok their syndrome, and
   // iterations_used is 0.
   DecodeStatus decode_into(std::span<const float> llr, int max_iterations,
-                           DecodeWorkspace& ws,
-                           LdpcSchedule schedule = LdpcSchedule::kFlooding)
-      const;
+                           DecodeWorkspace& ws) const;
   // The same decode on an explicit kernel table (simd::kernels_for), so
   // tests and benchmarks can pin an ISA in one process. Outcomes are
   // identical at every level.
   DecodeStatus decode_into(std::span<const float> llr, int max_iterations,
-                           DecodeWorkspace& ws, LdpcSchedule schedule,
+                           DecodeWorkspace& ws,
                            const simd::Kernels& kernels) const;
 
   // Convenience wrapper around decode_into() that returns an owned
-  // codeword (flooding schedule; message buffers come from a
-  // thread-local workspace).
+  // codeword (message buffers come from a thread-local workspace).
   [[nodiscard]] DecodeResult decode(std::span<const float> llr,
                                     int max_iterations) const;
 
@@ -151,8 +138,7 @@ class LdpcCode {
   int wc_;
   std::vector<int> var_check_;          // check of each entry
   int num_edges_ = 0;
-  int max_check_degree_ = 0;
-  // Flooding check-lane layout: group g holds checks [8g, 8g+8) in
+  // Check-lane layout: group g holds checks [8g, 8g+8) in
   // slab floats [lane_group_offset_[g], lane_group_offset_[g+1]) as
   // [position][lane]; var_slot_ is the slab index of each per-variable
   // entry, and pad_slots_ lists the slots past a check's degree.

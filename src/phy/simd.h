@@ -1,7 +1,6 @@
 // Runtime-dispatched SIMD kernels for the PHY's two hottest inner
-// loops: the normalized min-sum check-node update (ldpc.cc; one check
-// at a time for the layered schedule, eight check lanes at a time for
-// flooding) and the max-log soft demapper (modulation.cc).
+// loops: the normalized min-sum check-node update (ldpc.cc; eight check
+// lanes at a time) and the max-log soft demapper (modulation.cc).
 //
 // Contract: every implementation is BIT-EXACT against the scalar
 // reference on all finite inputs — same floats out, down to the sign
@@ -47,20 +46,21 @@ inline constexpr int kCheckLanes = 8;
 // check computes exactly what the unpadded one does.
 inline constexpr float kMinSumPad = 1e30F;
 
-struct Kernels {
-  // Normalized min-sum check-node update over one check's `deg`
-  // incoming messages q[0..deg): r[j] gets the sign-excluded product
-  // sign * scale * mag, where mag is the smallest |q| excluding
-  // position j (i.e. min2 at the argmin position, min1 elsewhere).
-  // q and r must not alias.
-  void (*cn_minsum)(const float* q, float* r, int deg, float scale);
+// Scalar reference for the normalized min-sum check-node update over
+// one check's `deg` incoming messages q[0..deg): r[j] gets the
+// sign-excluded product sign * scale * mag, where mag is the smallest
+// |q| excluding position j (i.e. min2 at the argmin position, min1
+// elsewhere). q and r must not alias. No decoder path calls it; it is
+// the oracle that cn_minsum_lanes is checked against.
+void cn_minsum_reference(const float* q, float* r, int deg, float scale);
 
-  // The same update on kCheckLanes checks at once, lane-wise with no
-  // horizontal merge. q and r hold a group of checks position-major:
-  // q[pos * kCheckLanes + lane], pos in [0, deg). Each lane's column
-  // gets exactly what cn_minsum gives on that column; a check shorter
-  // than `deg` pads its column with kMinSumPad, which leaves its real
-  // outputs unchanged. q and r must not alias.
+struct Kernels {
+  // The cn_minsum_reference update on kCheckLanes checks at once,
+  // lane-wise with no horizontal merge. q and r hold a group of checks
+  // position-major: q[pos * kCheckLanes + lane], pos in [0, deg). Each
+  // lane's column gets exactly what cn_minsum_reference gives on that
+  // column; a check shorter than `deg` pads its column with kMinSumPad,
+  // which leaves its real outputs unchanged. q and r must not alias.
   void (*cn_minsum_lanes)(const float* q, float* r, int deg, float scale);
 
   // Max-log LLR soft demap of `count` Gray-mapped square-QAM symbols.

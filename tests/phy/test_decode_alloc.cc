@@ -3,7 +3,7 @@
 // This TU overrides global operator new/delete with counting shims (the
 // reason it lives in its own test binary) and asserts that, once a
 // DecodeWorkspace is warm, LdpcCode::decode_into performs ZERO heap
-// allocations per decode — for both the flooding and layered schedules.
+// allocations per decode.
 // That is the contract that lets the PHY decode every uplink TB of a
 // 10-second run without touching the allocator.
 #include <gtest/gtest.h>
@@ -62,20 +62,17 @@ std::vector<float> make_noisy_llrs(const LdpcCode& code, RngStream& rng) {
 // Warm `ws` with inputs[0], then count allocations across decoding all
 // of `inputs`.
 std::size_t warm_decode_allocations(
-    const LdpcCode& code, const std::vector<std::vector<float>>& inputs,
-    LdpcSchedule schedule) {
+    const LdpcCode& code, const std::vector<std::vector<float>>& inputs) {
   LdpcCode::DecodeWorkspace ws;
-  (void)code.decode_into(inputs[0], 8, ws, schedule);
+  (void)code.decode_into(inputs[0], 8, ws);
   const std::size_t before = g_alloc_count;
   for (const auto& llrs : inputs) {
-    (void)code.decode_into(llrs, 8, ws, schedule);
+    (void)code.decode_into(llrs, 8, ws);
   }
   return g_alloc_count - before;
 }
 
-class DecodeAllocTest : public ::testing::TestWithParam<LdpcSchedule> {};
-
-TEST_P(DecodeAllocTest, WarmWorkspaceDecodeIsAllocationFree) {
+TEST(DecodeAlloc, WarmWorkspaceDecodeIsAllocationFree) {
   const auto& code = LdpcCode::standard();
   auto rng = RngRegistry{2024}.stream("alloc");
 
@@ -85,8 +82,7 @@ TEST_P(DecodeAllocTest, WarmWorkspaceDecodeIsAllocationFree) {
   for (int i = 0; i < 8; ++i) {
     inputs.push_back(make_noisy_llrs(code, rng));
   }
-  const std::size_t allocations =
-      warm_decode_allocations(code, inputs, GetParam());
+  const std::size_t allocations = warm_decode_allocations(code, inputs);
   EXPECT_EQ(allocations, 0U)
       << "decode_into allocated " << allocations << " times across "
       << inputs.size() << " warm decodes";
@@ -95,7 +91,7 @@ TEST_P(DecodeAllocTest, WarmWorkspaceDecodeIsAllocationFree) {
 // Clean-channel decodes take the zero-syndrome exit; interleaved with
 // noisy ones, neither path may touch the allocator once a noisy decode
 // has warmed the workspace.
-TEST_P(DecodeAllocTest, ZeroSyndromeExitIsAllocationFree) {
+TEST(DecodeAlloc, ZeroSyndromeExitIsAllocationFree) {
   const auto& code = LdpcCode::standard();
   auto rng = RngRegistry{2025}.stream("alloc-clean");
   std::vector<std::vector<float>> inputs;
@@ -108,12 +104,12 @@ TEST_P(DecodeAllocTest, ZeroSyndromeExitIsAllocationFree) {
     hard[i] = inputs[1][i] < 0.0F ? 1 : 0;
   }
   ASSERT_TRUE(code.check_parity(hard));
-  EXPECT_EQ(warm_decode_allocations(code, inputs, GetParam()), 0U);
+  EXPECT_EQ(warm_decode_allocations(code, inputs), 0U);
 }
 
 // An irregular-degree code (checks of degree 7 and 8) pads its check
 // groups; the padded slab must warm up like the regular one.
-TEST_P(DecodeAllocTest, IrregularCodeDecodeIsAllocationFree) {
+TEST(DecodeAlloc, IrregularCodeDecodeIsAllocationFree) {
   const LdpcCode code{100, 40, 0xC0DE};
   auto rng = RngRegistry{2026}.stream("alloc-irregular");
   std::vector<std::vector<float>> inputs;
@@ -121,15 +117,8 @@ TEST_P(DecodeAllocTest, IrregularCodeDecodeIsAllocationFree) {
   for (int i = 0; i < 8; ++i) {
     inputs.push_back(make_noisy_llrs(code, rng));
   }
-  EXPECT_EQ(warm_decode_allocations(code, inputs, GetParam()), 0U);
+  EXPECT_EQ(warm_decode_allocations(code, inputs), 0U);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, DecodeAllocTest,
-    ::testing::Values(LdpcSchedule::kFlooding, LdpcSchedule::kLayered),
-    [](const ::testing::TestParamInfo<LdpcSchedule>& info) {
-      return info.param == LdpcSchedule::kFlooding ? "Flooding" : "Layered";
-    });
 
 }  // namespace
 }  // namespace slingshot

@@ -45,7 +45,7 @@ std::vector<std::uint8_t> hard_decisions(std::span<const float> llrs) {
 }
 
 // Reference flooding decoder: the per-check loop that the check-lane
-// layout replaced, kept as an oracle. One scalar cn_minsum call per
+// layout replaced, kept as an oracle. One cn_minsum_reference call per
 // check over edges numbered by (check, position); the variable pass
 // sums each variable's messages in edge-id order.
 class FloodingOracle {
@@ -67,7 +67,6 @@ class FloodingOracle {
 
   LdpcCode::DecodeResult decode(std::span<const float> llr,
                                 int max_iterations) const {
-    const auto& cn_minsum = simd::kernels_for(simd::Level::kScalar).cn_minsum;
     const std::size_t edges = edge_var_.size();
     std::vector<float> var_to_check(edges);
     std::vector<float> check_to_var(edges);
@@ -81,9 +80,9 @@ class FloodingOracle {
     for (int iter = 1; iter <= max_iterations; ++iter) {
       for (std::size_t c = 0; c + 1 < check_offset_.size(); ++c) {
         const int base = check_offset_[c];
-        cn_minsum(&var_to_check[std::size_t(base)],
-                  &check_to_var[std::size_t(base)],
-                  check_offset_[c + 1] - base, 0.8F);
+        simd::cn_minsum_reference(&var_to_check[std::size_t(base)],
+                                  &check_to_var[std::size_t(base)],
+                                  check_offset_[c + 1] - base, 0.8F);
       }
       for (int v = 0; v < n_; ++v) {
         float total = llr[std::size_t(v)];
@@ -139,9 +138,8 @@ void expect_matches_oracle(const LdpcCode& code, const FloodingOracle& oracle,
   const auto want = oracle.decode(llrs, max_iterations);
   LdpcCode::DecodeWorkspace ws;
   for (const auto level : supported_levels()) {
-    const auto got = code.decode_into(llrs, max_iterations, ws,
-                                      LdpcSchedule::kFlooding,
-                                      simd::kernels_for(level));
+    const auto got =
+        code.decode_into(llrs, max_iterations, ws, simd::kernels_for(level));
     EXPECT_EQ(got.parity_ok, want.parity_ok)
         << where << " level " << simd::level_name(level);
     EXPECT_EQ(got.iterations_used, want.iterations_used)
@@ -280,22 +278,6 @@ TEST(LdpcCode, DeterministicForSeed) {
   const auto info = random_bits(a.k(), rng);
   ASSERT_EQ(a.k(), b.k());
   EXPECT_EQ(a.encode(info), b.encode(info));
-}
-
-TEST(LdpcCode, LayeredDecodesCleanChannel) {
-  const auto& code = LdpcCode::standard();
-  auto rng = RngRegistry{10}.stream("ldpc");
-  const auto info = random_bits(code.k(), rng);
-  const auto cw = code.encode(info);
-  std::vector<float> llrs(cw.size());
-  for (std::size_t i = 0; i < cw.size(); ++i) {
-    llrs[i] = cw[i] ? -10.0F : 10.0F;
-  }
-  LdpcCode::DecodeWorkspace ws;
-  const auto status =
-      code.decode_into(llrs, 8, ws, LdpcSchedule::kLayered);
-  EXPECT_TRUE(status.parity_ok);
-  EXPECT_EQ(code.extract_info(ws.codeword), info);
 }
 
 TEST(LdpcCode, DecodeIntoMatchesDecode) {
@@ -450,8 +432,8 @@ TEST(LdpcCode, CheckLaneFloodingMatchesOracleWhenMessagesCancel) {
   }
 }
 
-// With no iteration budget neither schedule passes a message: the
-// result is the channel hard decisions with their real syndrome.
+// With no iteration budget no message is passed: the result is the
+// channel hard decisions with their real syndrome.
 TEST(LdpcCode, ZeroIterationBudgetReturnsChannelHardDecisions) {
   const auto& code = LdpcCode::standard();
   auto rng = RngRegistry{12}.stream("ldpc");
@@ -463,59 +445,16 @@ TEST(LdpcCode, ZeroIterationBudgetReturnsChannelHardDecisions) {
   auto noisy = clean;
   noisy[7] = -noisy[7];  // one wrong hard decision: parity must fail
   LdpcCode::DecodeWorkspace ws;
-  for (const auto schedule : {LdpcSchedule::kFlooding, LdpcSchedule::kLayered}) {
-    for (const int budget : {0, -1}) {
-      for (const auto* llrs : {&clean, &noisy}) {
-        const auto status = code.decode_into(*llrs, budget, ws, schedule);
-        const auto hard = hard_decisions(*llrs);
-        EXPECT_EQ(ws.codeword, hard);
-        EXPECT_EQ(status.parity_ok, code.check_parity(hard));
-        EXPECT_EQ(status.iterations_used, 0);
-      }
+  for (const int budget : {0, -1}) {
+    for (const auto* llrs : {&clean, &noisy}) {
+      const auto status = code.decode_into(*llrs, budget, ws);
+      const auto hard = hard_decisions(*llrs);
+      EXPECT_EQ(ws.codeword, hard);
+      EXPECT_EQ(status.parity_ok, code.check_parity(hard));
+      EXPECT_EQ(status.iterations_used, 0);
     }
   }
-  EXPECT_TRUE(code.decode_into(clean, 0, ws).parity_ok);
-  EXPECT_FALSE(code.decode_into(noisy, 0, ws).parity_ok);
 }
-
-// The property that motivates the layered (serial-C) schedule: updated
-// beliefs propagate within an iteration, so at an equal (tight)
-// iteration budget the layered schedule's frame error rate is no worse
-// than flooding's. Swept across near-threshold SNRs.
-class LdpcScheduleSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(LdpcScheduleSweep, LayeredFerNoWorseThanFloodingAtEqualBudget) {
-  const auto& code = LdpcCode::standard();
-  const double snr_db = GetParam();
-  // Seed depends on the SNR point so sweep points are independent.
-  auto rng = RngRegistry{std::uint64_t(100 + snr_db * 10)}.stream("ldpc");
-  const int trials = 120;
-  const int budget = 4;  // tight: convergence speed decides the FER
-  int flooding_failures = 0;
-  int layered_failures = 0;
-  LdpcCode::DecodeWorkspace ws;
-  for (int t = 0; t < trials; ++t) {
-    const auto info = random_bits(code.k(), rng);
-    const auto cw = code.encode(info);
-    const auto llrs = bpsk_llrs(cw, snr_db, rng);
-    const auto flooding =
-        code.decode_into(llrs, budget, ws, LdpcSchedule::kFlooding);
-    const bool flooding_ok =
-        flooding.parity_ok && code.extract_info(ws.codeword) == info;
-    const auto layered =
-        code.decode_into(llrs, budget, ws, LdpcSchedule::kLayered);
-    const bool layered_ok =
-        layered.parity_ok && code.extract_info(ws.codeword) == info;
-    flooding_failures += flooding_ok ? 0 : 1;
-    layered_failures += layered_ok ? 0 : 1;
-  }
-  EXPECT_LE(layered_failures, flooding_failures)
-      << "snr=" << snr_db << " layered=" << layered_failures << "/" << trials
-      << " flooding=" << flooding_failures << "/" << trials;
-}
-
-INSTANTIATE_TEST_SUITE_P(NearThreshold, LdpcScheduleSweep,
-                         ::testing::Values(1.5, 2.0, 2.5, 3.0));
 
 }  // namespace
 }  // namespace slingshot

@@ -37,20 +37,6 @@ std::vector<simd::Level> supported_vector_levels() {
   return levels;
 }
 
-void expect_cn_minsum_parity(const std::vector<float>& q, float scale) {
-  const int deg = int(q.size());
-  std::vector<float> want(q.size());
-  simd::kernels_for(simd::Level::kScalar)
-      .cn_minsum(q.data(), want.data(), deg, scale);
-  for (const auto level : supported_vector_levels()) {
-    std::vector<float> got(q.size(), -999.0F);
-    simd::kernels_for(level).cn_minsum(q.data(), got.data(), deg, scale);
-    EXPECT_EQ(
-        std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0)
-        << "level " << simd::level_name(level) << " deg " << deg;
-  }
-}
-
 // Signed zeros, repeated magnitudes (the tie-selection proof), tiny,
 // huge and ordinary values.
 float adversarial_value(RngStream& rng) {
@@ -61,45 +47,6 @@ float adversarial_value(RngStream& rng) {
     case 3: return float(rng.gaussian(0.0, 1e-4));
     case 4: return float(rng.gaussian(0.0, 1e6));
     default: return float(rng.gaussian(0.0, 5.0));
-  }
-}
-
-TEST(SimdKernels, CnMinsumMatchesScalarOnRandomInputs) {
-  auto rng = RngRegistry{2024}.stream("cn-parity");
-  for (int trial = 0; trial < 3000; ++trial) {
-    const int deg = 1 + int(rng.next_u64() % 24);
-    std::vector<float> q(static_cast<std::size_t>(deg));
-    for (auto& v : q) {
-      v = adversarial_value(rng);
-    }
-    expect_cn_minsum_parity(q, 0.8F);
-  }
-}
-
-// Every degree from 1 to 33 hits each SSE2 (4-lane) and AVX2 (8-lane)
-// tail length, including deg < width where the whole check is a tail.
-TEST(SimdKernels, CnMinsumMatchesScalarAtEveryTailLength) {
-  auto rng = RngRegistry{7}.stream("cn-tails");
-  for (int deg = 1; deg <= 33; ++deg) {
-    for (int rep = 0; rep < 40; ++rep) {
-      std::vector<float> q(static_cast<std::size_t>(deg));
-      for (auto& v : q) {
-        v = float(rng.gaussian(0.0, 3.0));
-      }
-      expect_cn_minsum_parity(q, 0.8F);
-    }
-  }
-}
-
-TEST(SimdKernels, CnMinsumMatchesScalarWhenAllMagnitudesTie) {
-  // Degenerate slab: every |q| equal, signs mixed. min1 == min2 at
-  // every position; any selection-rule discrepancy shows here.
-  for (const int deg : {1, 3, 4, 5, 8, 9, 16, 17}) {
-    std::vector<float> q(static_cast<std::size_t>(deg));
-    for (int i = 0; i < deg; ++i) {
-      q[std::size_t(i)] = (i % 2 != 0) ? -2.5F : 2.5F;
-    }
-    expect_cn_minsum_parity(q, 0.8F);
   }
 }
 
@@ -121,13 +68,12 @@ std::vector<float> make_group(int deg, const std::vector<int>& lane_degree,
   return q;
 }
 
-// Every level's lane kernel against the contiguous scalar kernel run on
-// each lane's padded column, and — the pad rule — each lane's real
-// outputs against the scalar kernel on its unpadded messages alone.
+// Every level's lane kernel against the per-check scalar reference run
+// on each lane's padded column, and — the pad rule — each lane's real
+// outputs against the reference on its unpadded messages alone.
 void expect_cn_minsum_lanes_parity(const std::vector<float>& q, int deg,
                                    const std::vector<int>& lane_degree,
                                    float scale) {
-  const auto& scalar = simd::kernels_for(simd::Level::kScalar);
   std::vector<float> want(q.size());
   std::vector<float> column(static_cast<std::size_t>(deg));
   std::vector<float> out(static_cast<std::size_t>(deg));
@@ -135,14 +81,14 @@ void expect_cn_minsum_lanes_parity(const std::vector<float>& q, int deg,
     for (int pos = 0; pos < deg; ++pos) {
       column[std::size_t(pos)] = q[std::size_t(pos * kLanes + lane)];
     }
-    scalar.cn_minsum(column.data(), out.data(), deg, scale);
+    simd::cn_minsum_reference(column.data(), out.data(), deg, scale);
     for (int pos = 0; pos < deg; ++pos) {
       want[std::size_t(pos * kLanes + lane)] = out[std::size_t(pos)];
     }
     const int real = lane_degree[std::size_t(lane)];
     if (real > 0) {
       std::vector<float> unpadded(static_cast<std::size_t>(real));
-      scalar.cn_minsum(column.data(), unpadded.data(), real, scale);
+      simd::cn_minsum_reference(column.data(), unpadded.data(), real, scale);
       EXPECT_EQ(std::memcmp(unpadded.data(), out.data(),
                             unpadded.size() * sizeof(float)),
                 0)
@@ -494,8 +440,6 @@ TEST(SimdKernels, Avx2KernelsReturnWithCleanUpperState) {
       EXPECT_FALSE(avx_upper_in_use()) << kernel << " n " << n;
       clear_avx_upper();
     };
-    k.cn_minsum(x.data(), out.data(), int(n), 0.8F);
-    expect_clean("cn_minsum");
     k.cn_minsum_lanes(group.data(), group_out.data(), int(n), 0.8F);
     expect_clean("cn_minsum_lanes");
     k.demap_soft(syms.data(), n, levels, 2, 0.1, out.data());
