@@ -5,7 +5,6 @@
 namespace slingshot {
 
 void ShardCoordinator::on_control(const ControlMsg& msg) {
-  ledger_.push_back(Episode{msg.src_island, msg.kind, msg.a, msg.time});
   switch (ShardCtrlKind(msg.kind)) {
     case ShardCtrlKind::kFailureEpisode:
       ++stats_.episodes;

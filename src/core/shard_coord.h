@@ -9,7 +9,7 @@
 // spare inventory topped up. The coordinator is that operator. It is
 // not a Simulator: it executes only at window barriers, consuming
 // control messages in the mailbox's deterministic (source island, seq)
-// order, so its ledger and every grant it issues are bit-identical at
+// order, so its counters and every grant it issues are bit-identical at
 // any shard count.
 //
 // Replenish loop: when an island reports a consumed pool member (a
@@ -18,13 +18,11 @@
 // island after `boot_delay` (process start + §6.3 init replay), via the
 // grant action the testbed wires to post_event_from_control. The island
 // then revives its dead PHY as a fresh pool standby, restoring
-// protection; the resulting kRestored report closes the loop in the
-// ledger.
+// protection; the resulting kMemberRestored report closes the loop.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/time.h"
 #include "sim/sharded.h"
@@ -80,21 +78,11 @@ class ShardCoordinator {
   [[nodiscard]] const ShardCoordStats& stats() const { return stats_; }
   [[nodiscard]] int spares_left() const { return spares_; }
 
-  // Fleet-wide episode ledger, in deterministic delivery order.
-  struct Episode {
-    int island = -1;
-    std::uint32_t kind = 0;  // ShardCtrlKind
-    std::uint64_t phy = 0;   // PhyId value
-    Nanos time = 0;          // island-local time of the report
-  };
-  [[nodiscard]] const std::vector<Episode>& ledger() const { return ledger_; }
-
  private:
   Config config_;
   int spares_;
   std::function<void(int, Nanos)> grant_;
   ShardCoordStats stats_;
-  std::vector<Episode> ledger_;
 };
 
 }  // namespace slingshot

@@ -621,26 +621,6 @@ void Testbed::planned_migration_of(RuId ru, int lead_slots) {
   orion_l2_->migrate(ru, boundary);
 }
 
-void Testbed::misaligned_migration(int lead_slots, int fronthaul_skew_slots) {
-  if (orion_l2_ == nullptr) {
-    return;
-  }
-  const auto boundary = config_.slots.slot_at(sim_.now()) + lead_slots;
-  orion_l2_->migrate(kRu, boundary);
-  // Overwrite the fronthaul boundary with a skewed one, as a buggy or
-  // non-TTI-aligned implementation would.
-  MigrateOnSlotCmd cmd;
-  cmd.ru = kRu;
-  cmd.dest_phy = orion_l2_->standby_phy(kRu);
-  cmd.slot = SlotPoint::from_index(boundary + fronthaul_skew_slots,
-                                   config_.slots);
-  Packet packet;
-  packet.eth.dst = MacAddr::broadcast();
-  packet.eth.ethertype = EtherType::kSlingshotCmd;
-  packet.payload = serialize_migrate_cmd(cmd);
-  baseline_ctl_nic_->send(std::move(packet));
-}
-
 void Testbed::planned_migration_with_state_transfer(int lead_slots) {
   if (orion_l2_ == nullptr) {
     return;

@@ -162,10 +162,6 @@ class Testbed {
   void planned_migration(int lead_slots = 4);
   // Planned migration of a specific RU (multi-RU deployments).
   void planned_migration_of(RuId ru, int lead_slots = 4);
-  // ABLATION: planned migration that (incorrectly) moves the fronthaul
-  // at a different slot than the FAPI stream — violating the paper's
-  // TTI-boundary alignment requirement (§5.1). `skew` of 0 is correct.
-  void misaligned_migration(int lead_slots, int fronthaul_skew_slots);
   // ABLATION: migration that oracle-transfers the PHY's soft state
   // (HARQ buffers + SNR filters) instead of discarding it.
   void planned_migration_with_state_transfer(int lead_slots = 4);
@@ -261,10 +257,6 @@ class Testbed {
     return *orion_phy_nics_.at(std::size_t(index));
   }
   [[nodiscard]] Nic& orion_l2_nic() { return *orion_l2_nic_; }
-  // PHY-side Orions (kSlingshot mode only).
-  [[nodiscard]] OrionPhySide& orion_phy(int index) {
-    return *orion_phys_.at(std::size_t(index));
-  }
   // FAPI pipe feeding PHY `index`; null in modes without one.
   [[nodiscard]] ShmFapiPipe* pipe_to_phy(int index) {
     return index < int(to_phy_pipes_.size())
