@@ -362,9 +362,9 @@ RealRunResult RealTestbed::run() {
   }
 
   const std::int64_t epoch = WallclockPacer::now_ns() + kEpochLeadNs;
-  const bool fault = config_.fault.kill_slot >= 0;
+  const bool fault = config_.kill_slot >= 0;
   const std::int64_t kill_target =
-      epoch + config_.fault.kill_slot * config_.tti_ns;
+      epoch + config_.kill_slot * config_.tti_ns;
 
   Kv l2_kv;
   Kv orion_kv;
@@ -498,7 +498,7 @@ RealRunResult RealTestbed::run() {
   return result;
 }
 
-std::vector<EpisodeEvent> run_sim_fault_plan(const FaultPlan& plan) {
+std::vector<EpisodeEvent> run_sim_fault_plan(std::int64_t kill_slot) {
   TestbedConfig cfg;
   cfg.seed = 7;
   cfg.num_ues = 1;
@@ -506,8 +506,8 @@ std::vector<EpisodeEvent> run_sim_fault_plan(const FaultPlan& plan) {
   const EpisodeRecorder recorder{tb.orion()};
   tb.start();
   tb.run_for(50_ms);  // settle window before measuring, as everywhere
-  if (plan.kill_slot >= 0) {
-    tb.run_for(Nanos(plan.kill_slot) * tb.config().slots.slot_duration);
+  if (kill_slot >= 0) {
+    tb.run_for(Nanos(kill_slot) * tb.config().slots.slot_duration);
     tb.kill_phy(Testbed::kPhyA);
   }
   tb.run_for(100_ms);

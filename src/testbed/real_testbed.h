@@ -18,7 +18,7 @@
 //     role observes, which produces the identical external symptom
 //     (its socket goes silent, datagrams queue unread).
 //
-// Conformance contract: for the same FaultPlan, the real run's episode
+// Conformance contract: for the same kill slot, the real run's episode
 // ledger (kind, ru, phy sequence) must equal the simulator's — see
 // run_sim_fault_plan()/ledgers_conform(). Both modes drive the same
 // OrionCore and record with the same EpisodeRecorder, so a divergence
@@ -35,18 +35,12 @@
 
 namespace slingshot {
 
-// Scripted fault to inject during a run (shared between real and sim
-// conformance runs so the two ledgers describe the same experiment).
-struct FaultPlan {
-  // L2-paced slot at which the active PHY is killed; < 0 = no fault.
-  std::int64_t kill_slot = -1;
-};
-
 struct RealTestbedConfig {
   bool inproc = false;            // threads instead of processes
   std::int64_t tti_ns = 500'000;  // µ=1 slot, matching SlotConfig
   std::int64_t run_slots = 400;
-  FaultPlan fault;
+  // L2-paced slot at which the active PHY is killed; < 0 = no fault.
+  std::int64_t kill_slot = -1;
   std::int64_t detect_timeout_ns = 2'000'000;  // 4 slots of silence
   std::size_t num_phys = 2;
   std::size_t ring_bytes = std::size_t{1} << 16;
@@ -85,12 +79,12 @@ class RealTestbed {
   RealTestbedConfig config_;
 };
 
-// Run the same fault plan through the simulator testbed and record its
-// episode ledger with the same EpisodeRecorder the real relay uses (sim
-// timestamps are virtual; only the (kind, ru, phy) sequence is
-// meaningful for conformance).
+// Run the same scripted kill (kill_slot < 0: none) through the
+// simulator testbed and record its episode ledger with the same
+// EpisodeRecorder the real relay uses (sim timestamps are virtual; only
+// the (kind, ru, phy) sequence is meaningful for conformance).
 [[nodiscard]] std::vector<EpisodeEvent> run_sim_fault_plan(
-    const FaultPlan& plan);
+    std::int64_t kill_slot);
 
 // True when the two ledgers describe the same episode sequence:
 // identical (kind, ru, phy) triples in identical order.

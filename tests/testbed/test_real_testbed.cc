@@ -63,7 +63,7 @@ TEST(RealTestbed, InprocNoFaultRunsClean) {
 
 TEST(RealTestbed, InprocFailoverDetectsSwapsAndRestores) {
   auto cfg = smoke_config(/*inproc=*/true);
-  cfg.fault.kill_slot = 60;
+  cfg.kill_slot = 60;
   RealRunResult result = RealTestbed{cfg}.run();
   ASSERT_TRUE(result.ok) << result.error;
   expect_failover_ledger(result);
@@ -81,23 +81,22 @@ TEST(RealTestbed, InprocFailoverDetectsSwapsAndRestores) {
 
 TEST(RealTestbed, InprocLedgerConformsToSimulator) {
   auto cfg = smoke_config(/*inproc=*/true);
-  cfg.fault.kill_slot = 60;
+  cfg.kill_slot = 60;
   RealRunResult real = RealTestbed{cfg}.run();
   ASSERT_TRUE(real.ok) << real.error;
 
-  const auto sim_ledger = run_sim_fault_plan(cfg.fault);
+  const auto sim_ledger = run_sim_fault_plan(cfg.kill_slot);
   EXPECT_TRUE(ledgers_conform(real.ledger, sim_ledger))
       << "real ledger (" << real.ledger.size() << " events) diverged from "
       << "sim ledger (" << sim_ledger.size() << " events)";
 
   // And the no-fault plans agree too (both empty).
-  const FaultPlan none;
-  EXPECT_TRUE(ledgers_conform({}, run_sim_fault_plan(none)));
+  EXPECT_TRUE(ledgers_conform({}, run_sim_fault_plan(-1)));
 }
 
 TEST(RealTestbed, ForkModeFailoverWithRealSigkill) {
   auto cfg = smoke_config(/*inproc=*/false);
-  cfg.fault.kill_slot = 60;
+  cfg.kill_slot = 60;
   RealRunResult result = RealTestbed{cfg}.run();
   ASSERT_TRUE(result.ok) << result.error;
   expect_failover_ledger(result);
@@ -105,7 +104,7 @@ TEST(RealTestbed, ForkModeFailoverWithRealSigkill) {
   EXPECT_GE(result.detection_ns, cfg.detect_timeout_ns - 4 * cfg.tti_ns);
   EXPECT_GT(result.outage_ns, 0);
   EXPECT_TRUE(
-      ledgers_conform(result.ledger, run_sim_fault_plan(cfg.fault)));
+      ledgers_conform(result.ledger, run_sim_fault_plan(cfg.kill_slot)));
 }
 
 }  // namespace
